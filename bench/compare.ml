@@ -26,15 +26,14 @@
    mode mismatch is a hard error (exit 2) because the numbers would not
    be comparable.
 
-   Experiments named "<e>.closure"/"<e>.closure-<op>" (the
-   template-compiled backend, {!Closurevm}) and "<e>.heap"/"<e>.heap-<op>"
-   (the heap-frame baseline) run the same workload as "<e>.stack" /
-   "<e>.<op>"; when the baseline has the stack-backend counterpart, its
-   wall clock against the current run is printed as an explicit speedup
-   line per backend.  A final summary block lists the per-experiment
-   instruction-count delta in percent for every experiment recording
-   "instrs" in both runs — the at-a-glance view of how a bytecode change
-   moved the corpus, independent of the tolerance gate. *)
+   Experiments named "<e>.heap"/"<e>.heap-<op>" (the heap-frame
+   baseline) run the same workload as "<e>.stack" / "<e>.<op>"; when the
+   baseline has the stack-backend counterpart, its wall clock against the
+   current run is printed as an explicit speedup line.  A final summary
+   block lists the per-experiment instruction-count delta in percent for
+   every experiment recording "instrs" in both runs — the at-a-glance
+   view of how a bytecode change moved the corpus, independent of the
+   tolerance gate. *)
 
 (* ------------------------------------------------------------------ *)
 (* Minimal JSON reader (objects, strings, numbers) -- the harness       *)
@@ -319,37 +318,24 @@ let () =
             name
       | _ -> ())
     cur_exps;
-  (* Backend speedup lines: pair each current "*.closure*" / "*.heap*"
-     experiment with the stack-backend key it shadows and report the
-     wall-clock ratio against the baseline, one line per backend. *)
-  let backend_counterpart name =
+  (* Backend speedup lines: pair each current "*.heap*" experiment with
+     the stack-backend key it shadows and report the wall-clock ratio
+     against the baseline. *)
+  let heap_counterpart name =
     match String.index_opt name '.' with
     | None -> None
     | Some dot ->
         let prefix = String.sub name 0 (dot + 1) in
         let rest = String.sub name (dot + 1) (String.length name - dot - 1) in
-        let strip backend =
-          let dashed = backend ^ "-" in
-          if rest = backend then Some (prefix ^ "stack")
-          else if
-            String.length rest > String.length dashed
-            && String.sub rest 0 (String.length dashed) = dashed
-          then
-            Some
-              (prefix
-              ^ String.sub rest (String.length dashed)
-                  (String.length rest - String.length dashed))
-          else None
-        in
-        List.find_map
-          (fun backend ->
-            Option.map (fun base -> (backend, base)) (strip backend))
-          [ "closure"; "heap" ]
+        if rest = "heap" then Some (prefix ^ "stack")
+        else if String.starts_with ~prefix:"heap-" rest then
+          Some (prefix ^ String.sub rest 5 (String.length rest - 5))
+        else None
   in
   List.iter
     (fun (name, j) ->
-      match (j, backend_counterpart name) with
-      | Obj cm, Some (backend, base_name) -> (
+      match (j, heap_counterpart name) with
+      | Obj cm, Some base_name -> (
           match
             ( num cm "ms",
               match List.assoc_opt base_name base_exps with
@@ -358,9 +344,9 @@ let () =
           with
           | Some cur_ms, Some base_ms when cur_ms > 0. ->
               Printf.printf
-                "  %s backend: %s %.1f ms vs baseline %s %.1f ms = %.2fx \
+                "  heap backend: %s %.1f ms vs baseline %s %.1f ms = %.2fx \
                  speedup\n"
-                backend name cur_ms base_name base_ms (base_ms /. cur_ms)
+                name cur_ms base_name base_ms (base_ms /. cur_ms)
           | _ -> ())
       | _ -> ())
     cur_exps;

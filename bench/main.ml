@@ -57,12 +57,6 @@ let heap_session () =
   Scheme.load_corpus s;
   (s, stats)
 
-let closure_session ?(config = Control.default_config) () =
-  let stats = Stats.create () in
-  let s = Scheme.create ~backend:(Scheme.Closure config) ~stats () in
-  Scheme.load_corpus s;
-  (s, stats)
-
 let run s src = ignore (Scheme.eval ~fuel s src)
 let header title = Printf.printf "\n== %s\n" title
 let note fmt = Printf.printf fmt
@@ -147,12 +141,6 @@ let e1 ~full () =
   in
   let ms_cc, med_cc, st_cc = measure (fun () -> session ()) "%call/cc" in
   let ms_1cc, med_1cc, st_1cc = measure (fun () -> session ()) "%call/1cc" in
-  let ms_tcc, med_tcc, st_tcc =
-    measure (fun () -> closure_session ()) "%call/cc"
-  in
-  let ms_t1cc, med_t1cc, st_t1cc =
-    measure (fun () -> closure_session ()) "%call/1cc"
-  in
   Printf.printf "  workload: (ctak %d %d %d)\n" x y z;
   Printf.printf "  %-10s %10s %12s %12s %12s\n" "operator" "time(ms)"
     "captures" "copied(w)" "alloc(w)";
@@ -163,20 +151,12 @@ let e1 ~full () =
   in
   row "call/cc" ms_cc st_cc;
   row "call/1cc" ms_1cc st_1cc;
-  row "T call/cc" ms_tcc st_tcc;
-  row "T call/1cc" ms_t1cc st_t1cc;
-  Printf.printf
-    "  (T = closure backend; semantic counters must match the stack rows)\n";
   let captures (st : Stats.t) =
     ("captures", J_int (st.captures_multi + st.captures_oneshot))
   in
   record_run "e1.callcc" ms_cc st_cc ~median:med_cc ~extra:[ captures st_cc ];
   record_run "e1.call1cc" ms_1cc st_1cc ~median:med_1cc
     ~extra:[ captures st_1cc ];
-  record_run "e1.closure-callcc" ms_tcc st_tcc ~median:med_tcc
-    ~extra:[ captures st_tcc ];
-  record_run "e1.closure-call1cc" ms_t1cc st_t1cc ~median:med_t1cc
-    ~extra:[ captures st_t1cc ];
   Printf.printf
     "  call/1cc: %.0f%% faster, %.0f%% less stack allocation (paper: 13%% \
      faster, 23%% less memory)\n"
@@ -353,12 +333,11 @@ let e4 ~full () =
   Printf.printf "  %-8s | %9s %9s %9s | %9s %9s %9s\n" "" "stack-VM" "copied"
     "closures" "heap-VM" "cow" "closures";
   let totals = ref (0., 0.) in
-  let stack_ms = ref 0. and heap_ms = ref 0. and closure_ms = ref 0. in
-  let stack_med = ref 0. and heap_med = ref 0. and closure_med = ref 0. in
+  let stack_ms = ref 0. and heap_ms = ref 0. in
+  let stack_med = ref 0. and heap_med = ref 0. in
   let stack_instrs = ref 0 and heap_instrs = ref 0 in
   let stack_copied_total = ref 0 and stack_alloc_total = ref 0 in
   let stack_hits_total = ref 0 in
-  let closure_stats = Stats.create () in
   let heap_frame_words_total = ref 0 and heap_cow_total = ref 0 in
   List.iter
     (fun (name, src) ->
@@ -378,30 +357,16 @@ let e4 ~full () =
       let heap_w = float_of_int hst.Stats.heap_frame_words /. hcalls in
       let heap_cow = float_of_int hst.Stats.cow_copies /. hcalls in
       let heap_clos = float_of_int hst.Stats.closures_made /. hcalls in
-      let c, cst = closure_session () in
-      let _, ms_c, med_c =
-        time_ms ~reset:(fun () -> Stats.reset cst) (fun () -> run c src)
-      in
       totals := (fst !totals +. stack_w, snd !totals +. heap_w);
       stack_ms := !stack_ms +. ms_s;
       heap_ms := !heap_ms +. ms_h;
-      closure_ms := !closure_ms +. ms_c;
       stack_med := !stack_med +. med_s;
       heap_med := !heap_med +. med_h;
-      closure_med := !closure_med +. med_c;
       stack_instrs := !stack_instrs + st.Stats.instrs;
       heap_instrs := !heap_instrs + hst.Stats.instrs;
       stack_copied_total := !stack_copied_total + st.Stats.words_copied;
       stack_alloc_total := !stack_alloc_total + st.Stats.seg_alloc_words;
       stack_hits_total := !stack_hits_total + st.Stats.cache_hits;
-      closure_stats.Stats.instrs <-
-        closure_stats.Stats.instrs + cst.Stats.instrs;
-      closure_stats.Stats.words_copied <-
-        closure_stats.Stats.words_copied + cst.Stats.words_copied;
-      closure_stats.Stats.seg_alloc_words <-
-        closure_stats.Stats.seg_alloc_words + cst.Stats.seg_alloc_words;
-      closure_stats.Stats.cache_hits <-
-        closure_stats.Stats.cache_hits + cst.Stats.cache_hits;
       heap_frame_words_total :=
         !heap_frame_words_total + hst.Stats.heap_frame_words;
       heap_cow_total := !heap_cow_total + hst.Stats.cow_copies;
@@ -426,27 +391,13 @@ let e4 ~full () =
         ("heap_frame_words", J_int !heap_frame_words_total);
         ("cow_copies", J_int !heap_cow_total);
       ]);
-  record_run "e4.closure" !closure_ms closure_stats ~median:!closure_med;
   let n = float_of_int (List.length workloads) in
   Printf.printf
     "  mean words/call: stack VM %.3f vs heap VM %.3f (paper: 0.1 vs 7.4 \
      instructions of per-frame overhead)\n"
     (fst !totals /. n) (snd !totals /. n);
-  Printf.printf
-    "  wall clock over the corpus: stack %.1f ms, closure %.1f ms (%.2fx), \
-     heap %.1f ms\n"
-    !stack_ms !closure_ms
-    (!stack_ms /. Float.max 1e-9 !closure_ms)
-    !heap_ms;
-  if
-    closure_stats.Stats.instrs <> !stack_instrs
-    || closure_stats.Stats.words_copied <> !stack_copied_total
-    || closure_stats.Stats.seg_alloc_words <> !stack_alloc_total
-    || closure_stats.Stats.cache_hits <> !stack_hits_total
-  then (
-    Printf.eprintf
-      "e4: closure-backend semantic counters diverged from the stack VM\n";
-    exit 1)
+  Printf.printf "  wall clock over the corpus: stack %.1f ms, heap %.1f ms\n"
+    !stack_ms !heap_ms
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)

@@ -4,7 +4,6 @@
      dune exec bin/schemer.exe -- [FILE...]            run files
      dune exec bin/schemer.exe                         REPL
      dune exec bin/schemer.exe -- --backend heap ...   heap-frame VM
-     dune exec bin/schemer.exe -- --backend closure .. template-compiled VM
      dune exec bin/schemer.exe -- --seg-words 256 --overflow callcc ...
      dune exec bin/schemer.exe -- --stats -e '(fib 20)'
      dune exec bin/schemer.exe -- --disassemble -e '(lambda (x) x)' *)
@@ -232,7 +231,6 @@ let backend_conv =
   Arg.enum
     [
       ("stack", `Stack);
-      ("closure", `Closure);
       ("heap", `Heap);
       ("oracle", `Oracle);
     ]
@@ -269,7 +267,6 @@ let main backend_kind seg_words copy_bound overflow hysteresis seal_disp
   let backend =
     match backend_kind with
     | `Stack -> Scheme.Stack config
-    | `Closure -> Scheme.Closure config
     | `Heap -> Scheme.Heap
     | `Oracle -> Scheme.Oracle
   in
@@ -313,11 +310,9 @@ let cmd =
       & info [ "backend" ]
           ~doc:
             "Execution backend: stack (the paper's segmented-stack VM), \
-             closure (the same machine driven by template-compiled OCaml \
-             closures -- identical semantics and counters, faster \
-             dispatch), heap (heap-frame baseline), or oracle (CPS \
-             reference interpreter).  All --seg-words/--overflow/... knobs \
-             apply to stack and closure.")
+             heap (heap-frame baseline), or oracle (CPS reference \
+             interpreter).  All --seg-words/--overflow/... knobs apply to \
+             stack.")
   in
   let seg_words =
     Arg.(

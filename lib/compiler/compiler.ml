@@ -343,9 +343,7 @@ let compile_program globals tops = List.map (compile_top globals) tops
 (* (eval datum): compile the datum's top-level forms, then synthesize a
    driver code object that calls each compiled form in sequence. *)
 let compile_eval ?hygiene ?menv globals (datum : Rt.value) : Rt.code =
-  let tops =
-    Expander.expand_tops ?hygiene ?menv (Expander.value_to_datum datum)
-  in
+  let tops = Expander.expand_eval ?hygiene ?menv datum in
   match compile_program globals tops with
   | [ one ] -> one
   | codes ->

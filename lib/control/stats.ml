@@ -28,9 +28,6 @@ type t = {
   mutable heap_frames : int;
   mutable heap_frame_words : int;
   mutable cow_copies : int;
-  mutable tmpl_codes : int;
-  mutable tmpl_steps : int;
-  mutable tmpl_enters : int;
   mutable par_tasks : int;
   mutable par_steals : int;
   mutable par_switches : int;
@@ -67,9 +64,6 @@ let create ?(enabled = true) () =
     heap_frames = 0;
     heap_frame_words = 0;
     cow_copies = 0;
-    tmpl_codes = 0;
-    tmpl_steps = 0;
-    tmpl_enters = 0;
     par_tasks = 0;
     par_steals = 0;
     par_switches = 0;
@@ -105,9 +99,6 @@ let reset t =
   t.heap_frames <- 0;
   t.heap_frame_words <- 0;
   t.cow_copies <- 0;
-  t.tmpl_codes <- 0;
-  t.tmpl_steps <- 0;
-  t.tmpl_enters <- 0;
   t.par_tasks <- 0;
   t.par_steals <- 0;
   t.par_switches <- 0
@@ -142,9 +133,6 @@ let to_rows t =
     ("heap-frames", t.heap_frames);
     ("heap-frame-words", t.heap_frame_words);
     ("cow-copies", t.cow_copies);
-    ("tmpl-codes", t.tmpl_codes);
-    ("tmpl-steps", t.tmpl_steps);
-    ("tmpl-enters", t.tmpl_enters);
     ("par-tasks", t.par_tasks);
     ("par-steals", t.par_steals);
     ("par-switches", t.par_switches);
@@ -188,9 +176,6 @@ let blit ~src ~dst =
   dst.heap_frames <- src.heap_frames;
   dst.heap_frame_words <- src.heap_frame_words;
   dst.cow_copies <- src.cow_copies;
-  dst.tmpl_codes <- src.tmpl_codes;
-  dst.tmpl_steps <- src.tmpl_steps;
-  dst.tmpl_enters <- src.tmpl_enters;
   dst.par_tasks <- src.par_tasks;
   dst.par_steals <- src.par_steals;
   dst.par_switches <- src.par_switches

@@ -50,13 +50,6 @@ type t = {
   mutable heap_frames : int;  (** heap VM: frames allocated *)
   mutable heap_frame_words : int;
   mutable cow_copies : int;  (** heap VM: copy-on-write frame copies *)
-  mutable tmpl_codes : int;
-      (** closure VM: code objects template-compiled in this session *)
-  mutable tmpl_steps : int;
-      (** closure VM: step closures emitted by template compilation *)
-  mutable tmpl_enters : int;
-      (** closure VM: template (re-)entries — one per landing, i.e. per
-          slow-path control transfer back into compiled steps *)
   mutable par_tasks : int;
       (** data-parallel layer: chunked tasks executed by this session
           (gated under [enabled], like the other hot-path counters) *)

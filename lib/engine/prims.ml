@@ -98,6 +98,18 @@ let num_compare who op args =
 
 let bool_of b = Bool b
 
+(* Fixnum product, raising [Exit] instead of wrapping when it leaves
+   the fixnum range: R5RS lets an implementation restrict exact
+   integers, but not return a wrong one. *)
+let mul_exn x y =
+  let p = x * y in
+  if x <> 0 && (p / x <> y || (x = -1 && y = min_int)) then raise Exit;
+  p
+
+(* A size the host cannot allocate (beyond the OCaml array/string limit,
+   or more than the heap can supply) is a runtime error naming it. *)
+let size_too_large who n = Values.err (who ^ ": size too large") [ Int n ]
+
 (* List helpers ----------------------------------------------------------- *)
 
 let rec list_length who n v =
@@ -182,7 +194,6 @@ let dw_resume_code =
     arity = At_least 0;
     frame_words = 11;
     timer_ret = Void;
-    templ = No_template;
     cline = 0;
     ccol = 0;
   }
@@ -206,7 +217,6 @@ let wind_resume_code =
     arity = At_least 0;
     frame_words = 10;
     timer_ret = Void;
-    templ = No_template;
     cline = 0;
     ccol = 0;
   }
@@ -359,12 +369,16 @@ let the_prims : (string * prim) list =
       (a2 "expt" (fun a b ->
            match (to_num "expt" a, to_num "expt" b) with
            | I x, I y when y >= 0 ->
+               (* Square-and-multiply; the last squaring is skipped, its
+                  result would never be used. *)
                let rec go acc b e =
-                 if e = 0 then acc
-                 else go (if e land 1 = 1 then acc * b else acc) (b * b)
-                   (e lsr 1)
+                 let acc = if e land 1 = 1 then mul_exn acc b else acc in
+                 if e <= 1 then acc else go acc (mul_exn b b) (e lsr 1)
                in
-               Int (go 1 x y)
+               (match if y = 0 then 1 else go 1 x y with
+               | n -> Int n
+               | exception Exit ->
+                   Values.err "expt: fixnum overflow" [ a; b ])
            | a, b -> Flo (Float.pow (num_float a) (num_float b))));
     pure "exp" (Exactly 1)
       (a1 "exp" (fun a -> Flo (Float.exp (num_float (to_num "exp" a)))));
@@ -554,7 +568,10 @@ let the_prims : (string * prim) list =
           if Array.length args > 1 then check_char "make-string" args.(1)
           else ' '
         in
-        Str (Bytes.make n fill));
+        match Bytes.make n fill with
+        | s -> Str s
+        | exception (Out_of_memory | Invalid_argument _) ->
+            size_too_large "make-string" n);
     pure "string" (At_least 0) (fun args ->
         let b = Bytes.create (Array.length args) in
         Array.iteri (fun i c -> Bytes.set b i (check_char "string" c)) args;
@@ -619,7 +636,10 @@ let the_prims : (string * prim) list =
         let n = check_int "make-vector" args.(0) in
         if n < 0 then Values.err "make-vector: negative size" [ args.(0) ];
         let fill = if Array.length args > 1 then args.(1) else Int 0 in
-        Vec (Array.make n fill));
+        match Array.make n fill with
+        | v -> Vec v
+        | exception (Out_of_memory | Invalid_argument _) ->
+            size_too_large "make-vector" n);
     pure "vector" (At_least 0) (fun args -> Vec (Array.copy args));
     pure "vector-length" (Exactly 1)
       (a1 "vector-length" (fun v -> Int (Array.length (check_vec "vector-length" v))));

@@ -741,5 +741,13 @@ let expand_string ?hygiene ?menv src =
   expand_program ?hygiene ?menv (Sexp.read_all src)
 
 let expand_tops ?hygiene ?menv d = expand_tops_in (make_ctx ?hygiene ?menv ()) d
+
+(* The datum of [(eval v)] is a runtime value with no source position, so
+   a malformed one is a runtime error of the program that built it. *)
+let expand_eval ?hygiene ?menv v =
+  match expand_tops ?hygiene ?menv (value_to_datum v) with
+  | tops -> tops
+  | exception (Expand_error (msg, _) | Macro.Macro_error (msg, _)) ->
+      Values.err ("eval: " ^ msg) [ v ]
 let expand_top ?hygiene ?menv d = expand_top_in (make_ctx ?hygiene ?menv ()) d
 let expand ?hygiene ?menv d = expand (make_ctx ?hygiene ?menv ()) d

@@ -46,6 +46,12 @@ val expand_tops : ?hygiene:bool -> ?menv:Macro.menv -> Sexp.t -> Ast.top list
     [define-record-type] and [define-syntax]/macro uses against
     [menv] (macros defined by the form are added to it). *)
 
+val expand_eval :
+  ?hygiene:bool -> ?menv:Macro.menv -> Rt.value -> Ast.top list
+(** {!expand_tops} over the datum of [(eval v)].
+    @raise Rt.Scheme_error on malformed forms: the datum carries no
+    source position, so the failure is the evaluating program's. *)
+
 val expand_program :
   ?hygiene:bool -> ?menv:Macro.menv -> Sexp.t list -> Ast.top list
 (** Expand a whole program.  [menv] carries [define-syntax] macros; when

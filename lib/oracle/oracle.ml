@@ -178,8 +178,7 @@ and special t sp args k =
   | Sp_backtrace -> k Nil (* the oracle's control is OCaml closures *)
   | Sp_eval ->
       let tops =
-        Expander.expand_tops ~hygiene:t.hygiene ~menv:t.menv
-          (Expander.value_to_datum args.(0))
+        Expander.expand_eval ~hygiene:t.hygiene ~menv:t.menv args.(0)
       in
       let rec go last = function
         | [] -> k last

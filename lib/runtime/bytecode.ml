@@ -106,8 +106,8 @@ let make_code ?(pos = (0, 0)) ~name ~arity ~frame_words instrs =
   validate ~name ~frame_words instrs;
   let cline, ccol = pos in
   let code =
-    { instrs; cname = name; arity; frame_words; timer_ret = Void;
-      templ = No_template; cline; ccol }
+    { instrs; cname = name; arity; frame_words; timer_ret = Void; cline;
+      ccol }
   in
   backpatch code;
   code

@@ -58,5 +58,5 @@ val disassemble_deep : Rt.code -> string
 val collect_codes : Rt.code list -> Rt.code -> Rt.code list
 (** Accumulate every code object reachable from [code] through
     [Make_closure] instructions (each at most once, by physical
-    identity) onto the accumulator.  Used by the disassembler and by the
-    closure backend's eager template compilation. *)
+    identity) onto the accumulator (the disassembler, bytecode
+    statistics). *)

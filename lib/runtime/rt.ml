@@ -9,16 +9,6 @@
    return point (the information content and its uses -- stack walking,
    splitting, hysteresis copy-up -- are identical). *)
 
-(* Compiled-template slot for the closure-compiled backend
-   (lib/closurevm).  The variant is extensible so the runtime stays
-   independent of the backend's step representation: closurevm extends it
-   with its own constructor carrying the step-closure array, every other
-   backend leaves the slot at [No_template] (added below, after the
-   recursive type block).  The slot lives on [code] so a code object is
-   template-compiled at most once per process, and templates survive
-   across sessions exactly like the interned return addresses do. *)
-type tmpl = ..
-
 type value =
   | Nil                                  (* the empty list *)
   | Void                                 (* unspecified value *)
@@ -73,9 +63,6 @@ and code = {
                                             of once per preemption.  [Void]
                                             until then; guarded on rpc/rdisp
                                             before reuse. *)
-  mutable templ : tmpl;                  (* closure-compiled template cache
-                                            ([No_template] until the closure
-                                            backend compiles this code) *)
   cline : int;                           (* source position of the defining
                                             form; 0:0 = synthetic code (the
                                             runtime cannot see Sexp.pos, so
@@ -303,8 +290,6 @@ and ofun = {
   oname : string;
   ofn : value array -> (value -> value) -> value;
 }
-
-type tmpl += No_template
 
 exception Scheme_error of string * value list
 (* Raised by (error who msg irritants...) and by runtime type errors. *)

@@ -26,17 +26,13 @@
    Sharing discipline: the delta's values are closures over shared code
    objects, primitives, and immutable literals; prelude top-level
    definitions close over nothing mutable (top-level state lives in
-   global cells, which are per-session by construction).  The closure
-   backend's templates are compiled eagerly here, under the image lock,
-   so the shared code objects' [templ] slots are written exactly once
-   before any other domain can read them.
+   global cells, which are per-session by construction).
 
    The oracle bypasses the image: it interprets ASTs directly and
    represents procedures as [Ofun]s, so it keeps the per-session
    expansion path. *)
 
 type t = {
-  codes : Rt.code list; (* the compiled prelude, fused and verified *)
   delta : (int * Rt.value) array; (* slots the prelude execution defined *)
 }
 
@@ -78,9 +74,8 @@ let build { k_winders; k_opt; k_peep; k_reg } =
       in
       if c.Rt.gdefined && fresh then delta := (i, c.Rt.gval) :: !delta)
     g.Globals.cells;
-  Closurevm.precompile codes;
   incr built;
-  { codes; delta = Array.of_list (List.rev !delta) }
+  { delta = Array.of_list (List.rev !delta) }
 
 let get ~scheme_winders ~optimize ~peephole ~regalloc =
   let key =
@@ -111,7 +106,6 @@ let install t g =
       c.Rt.gdefined <- true)
     t.delta
 
-let codes t = t.codes
 let delta_size t = Array.length t.delta
 
 let builds () =

@@ -5,10 +5,9 @@
     optimize, peephole, regalloc) — on a throwaway stack machine; the
     resulting global-slot delta is copied into each session's global
     table at create time.  Compiled code is session-independent
-    (slot-indexed globals, process-shared primitives), so the codes,
-    the closure values in the delta, and the closure backend's
-    eagerly-compiled templates are shared read-only by every session
-    and every {!Scheme.Pool} / par-pool shard. *)
+    (slot-indexed globals, process-shared primitives), so the codes and
+    the closure values in the delta are shared read-only by every
+    session and every {!Scheme.Pool} / par-pool shard. *)
 
 type t
 
@@ -20,9 +19,6 @@ val get :
 val install : t -> Globals.t -> unit
 (** Copy the image's global-slot delta into [g] — the whole per-session
     cost of loading the prelude. *)
-
-val codes : t -> Rt.code list
-(** The compiled prelude program (fused, validated, verified). *)
 
 val delta_size : t -> int
 (** Number of global slots the prelude defines (diagnostics/tests). *)

@@ -1,12 +1,10 @@
 type backend =
   | Stack of Control.config
-  | Closure of Control.config
   | Heap
   | Oracle
 
 type machine =
   | M_stack of Vm.t
-  | M_closure of Closurevm.t
   | M_heap of Heapvm.t
   | M_oracle of Oracle.t
 
@@ -85,9 +83,6 @@ let eval_machine ?fuel t src =
   | M_stack vm ->
       Vm.eval ?fuel ~optimize:t.optimize ~peephole:t.peephole
         ~regalloc:t.regalloc ~verify:t.verify vm src
-  | M_closure vm ->
-      Closurevm.eval ?fuel ~optimize:t.optimize ~peephole:t.peephole
-        ~regalloc:t.regalloc ~verify:t.verify vm src
   | M_heap vm ->
       Heapvm.eval ?fuel ~optimize:t.optimize ~peephole:t.peephole
         ~regalloc:t.regalloc ~verify:t.verify vm src
@@ -95,7 +90,6 @@ let eval_machine ?fuel t src =
 
 let machine_globals = function
   | M_stack vm -> Vm.globals vm
-  | M_closure vm -> Closurevm.globals vm
   | M_heap vm -> Heapvm.globals vm
   | M_oracle o -> Oracle.globals o
 
@@ -107,13 +101,11 @@ let create ?(backend = Stack Control.default_config) ?stats ?(prelude = true)
   let machine =
     match backend with
     | Stack config -> M_stack (Vm.create ~config ~stats ())
-    | Closure config -> M_closure (Closurevm.create ~config ~stats ())
     | Heap -> M_heap (Heapvm.create ~stats ())
     | Oracle -> M_oracle (Oracle.create ~stats ())
   in
   (match machine with
   | M_stack vm -> vm.Engine.hygiene <- hygiene
-  | M_closure vm -> vm.Engine.hygiene <- hygiene
   | M_heap vm -> vm.Engine.hygiene <- hygiene
   | M_oracle o -> Oracle.set_hygiene o hygiene);
   let t =
@@ -130,7 +122,7 @@ let create ?(backend = Stack Control.default_config) ?stats ?(prelude = true)
               (if scheme_winders then Prelude.source_scheme_winders
                else Prelude.source));
          ignore (eval_machine t Parprelude.source)
-     | M_stack _ | M_closure _ | M_heap _ ->
+     | M_stack _ | M_heap _ ->
          (* Compile-once shared prelude: copy the image's global-slot
             delta instead of re-expanding/re-compiling/re-executing the
             sources — the session dispatches zero instructions before
@@ -191,9 +183,6 @@ let eval_datum ?fuel t d =
     | M_stack vm ->
         Vm.eval_datum ?fuel ~optimize:t.optimize ~peephole:t.peephole
           ~regalloc:t.regalloc ~verify:t.verify vm d
-    | M_closure vm ->
-        Closurevm.eval_datum ?fuel ~optimize:t.optimize ~peephole:t.peephole
-          ~regalloc:t.regalloc ~verify:t.verify vm d
     | M_heap vm ->
         Heapvm.eval_datum ?fuel ~optimize:t.optimize ~peephole:t.peephole
           ~regalloc:t.regalloc ~verify:t.verify vm d
@@ -216,7 +205,6 @@ let load_corpus t =
 let output t =
   match t.machine with
   | M_stack vm -> Vm.output vm
-  | M_closure vm -> Closurevm.output vm
   | M_heap vm -> Heapvm.output vm
   | M_oracle o -> Oracle.output o
 
@@ -225,7 +213,6 @@ let stats t = t.stats
 let control t =
   match t.machine with
   | M_stack vm -> Some (Vm.control vm)
-  | M_closure vm -> Some (Closurevm.control vm)
   | _ -> None
 
 let globals t = machine_globals t.machine

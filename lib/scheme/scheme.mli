@@ -10,10 +10,6 @@
 
 type backend =
   | Stack of Control.config  (** the paper's segmented-stack VM *)
-  | Closure of Control.config
-      (** the same segmented-stack machine driven by template-compiled
-          threaded code ({!Closurevm}): identical control semantics and
-          semantic counters, faster straight-line dispatch *)
   | Heap  (** heap-frame baseline VM *)
   | Oracle  (** CPS reference interpreter *)
 
@@ -71,9 +67,8 @@ val stats : t -> Stats.t
 val globals : t -> Globals.t
 
 val control : t -> Control.t option
-(** The segmented-stack machine underneath, when the backend is [Stack]
-    or [Closure] (both frame policies run on the same control
-    substrate). *)
+(** The segmented-stack machine underneath, when the backend is
+    [Stack]; [None] for the heap and oracle backends. *)
 
 val par_attach :
   ?chunk:int -> ?steal:bool -> ?domains:bool -> ?fuel:int -> ?corpus:bool ->

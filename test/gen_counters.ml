@@ -18,9 +18,6 @@ let counter_names =
     "captures-oneshot";
     "words-copied";
     "cache-class-hits";
-    "tmpl-codes";
-    "tmpl-steps";
-    "tmpl-enters";
     "par-tasks";
     "par-steals";
     "par-switches";
@@ -35,10 +32,6 @@ let configs =
     ("stack-noreg", Scheme.Stack Control.default_config, true, false);
     ("stack-nofuse", Scheme.Stack Control.default_config, false, true);
     ("stack-tiny", Scheme.Stack tiny_config, true, true);
-    ("closure", Scheme.Closure Control.default_config, true, true);
-    ("closure-noreg", Scheme.Closure Control.default_config, true, false);
-    ("closure-nofuse", Scheme.Closure Control.default_config, false, true);
-    ("closure-tiny", Scheme.Closure tiny_config, true, true);
     ("heap", Scheme.Heap, true, true);
     ("heap-noreg", Scheme.Heap, true, false);
   ]

@@ -123,15 +123,6 @@ let sessions =
        ("stack", mk (Scheme.Stack Control.default_config));
        ("stack-tiny", mk (Scheme.Stack Tutil.tiny_config));
        ("stack-tiny-cc", mk (Scheme.Stack Tutil.tiny_callcc_config));
-       (* template-compiled backend: same machine, closure-threaded
-          dispatch; tiny segments force its slow paths through the shared
-          overflow/underflow machinery *)
-       ("closure", mk (Scheme.Closure Control.default_config));
-       ("closure-tiny", mk (Scheme.Closure Tutil.tiny_config));
-       ( "closure-noopt",
-         Scheme.create
-           ~backend:(Scheme.Closure Control.default_config)
-           ~peephole:false () );
        ( "stack-flag",
          mk
            (Scheme.Stack
@@ -316,9 +307,6 @@ let winders_sessions =
        mk "stack/native" (Scheme.Stack Control.default_config) false;
        mk "stack/scheme" (Scheme.Stack Control.default_config) true;
        mk "stack-tiny/native" (Scheme.Stack Tutil.tiny_config) false;
-       mk "closure/native" (Scheme.Closure Control.default_config) false;
-       mk "closure/scheme" (Scheme.Closure Control.default_config) true;
-       mk "closure-tiny/native" (Scheme.Closure Tutil.tiny_config) false;
        mk "heap/native" Scheme.Heap false;
        mk "heap/scheme" Scheme.Heap true;
        mk "oracle/native" Scheme.Oracle false;

@@ -14,15 +14,12 @@ let eval s src = Values.write_string (Scheme.eval s src)
 let interleaved_backends () =
   let a = Scheme.create () in
   let b = Scheme.create ~backend:Scheme.Heap () in
-  let c = Scheme.create ~backend:(Scheme.Closure Control.default_config) () in
   ignore
     (Scheme.eval a
        "(define (f n) (if (< n 2) n (+ (f (- n 1)) (f (- n 2)))))");
   ignore (Scheme.eval b "(define (f n) (* n 10))");
-  ignore (Scheme.eval c "(define (f n) (+ n 100))");
   Alcotest.(check string) "stack f" "8" (eval a "(f 6)");
   Alcotest.(check string) "heap f" "60" (eval b "(f 6)");
-  Alcotest.(check string) "closure f" "106" (eval c "(f 6)");
   ignore (Scheme.eval b "(define only-in-b 1)");
   (match Scheme.eval a "only-in-b" with
   | _ -> Alcotest.fail "session a sees session b's global"
@@ -76,13 +73,9 @@ let fuel_exception_unified () =
   | _ -> Alcotest.fail "expected fuel exhaustion"
   | exception Vm.Vm_fuel_exhausted -> ());
   let s = Scheme.create () in
-  (match Scheme.eval ~fuel:100 s "(let loop () (loop))" with
+  match Scheme.eval ~fuel:100 s "(let loop () (loop))" with
   | _ -> Alcotest.fail "expected fuel exhaustion"
-  | exception Heapvm.Vm_fuel_exhausted -> ());
-  let c = Scheme.create ~backend:(Scheme.Closure Control.default_config) () in
-  match Scheme.eval ~fuel:100 c "(let loop () (loop))" with
-  | _ -> Alcotest.fail "expected fuel exhaustion"
-  | exception Closurevm.Vm_fuel_exhausted -> ()
+  | exception Heapvm.Vm_fuel_exhausted -> ()
 
 (* The three backends agree on capture-heavy programs when run through
    the unified engine (spot differential; test_diff.ml fuzzes this). *)
@@ -102,11 +95,9 @@ let backends_agree () =
   List.iter
     (fun src ->
       let s = Scheme.create () in
-      let c = Scheme.create ~backend:(Scheme.Closure Control.default_config) () in
       let h = Scheme.create ~backend:Scheme.Heap () in
       let o = Scheme.create ~backend:Scheme.Oracle () in
       let vs = eval s src in
-      Alcotest.(check string) ("closure: " ^ src) vs (eval c src);
       Alcotest.(check string) ("heap: " ^ src) vs (eval h src);
       Alcotest.(check string) ("oracle: " ^ src) vs (eval o src))
     progs

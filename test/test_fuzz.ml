@@ -121,7 +121,6 @@ let sessions =
        [
          ("stack", Scheme.Stack Control.default_config);
          ("stack-tiny", Scheme.Stack Tutil.tiny_config);
-         ("closure", Scheme.Closure Control.default_config);
          ("heap", Scheme.Heap);
        ])
 

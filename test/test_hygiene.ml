@@ -1,20 +1,19 @@
 (* Hygiene differential suite: the rename-based syntax-rules expansion
-   across every backend (stack, closure, heap, oracle), with the
+   across every backend (stack, heap, oracle), with the
    hygiene switch both on and off.
 
    Each program is chosen so that hygienic and unhygienic expansion
    produce *different* values, pinning both behaviours: the default must
    neither capture use-site bindings nor let template bindings be
    captured, and [~hygiene:false] must reproduce the historical textual
-   expansion exactly.  All four backends share one expander, so every
-   case also checks the three VMs against the CPS oracle. *)
+   expansion exactly.  All three backends share one expander, so every
+   case also checks both VMs against the CPS oracle. *)
 
 open Tutil
 
 let backends =
   [
     ("stack", Scheme.Stack Control.default_config);
-    ("closure", Scheme.Closure Control.default_config);
     ("heap", Scheme.Heap);
     ("oracle", Scheme.Oracle);
   ]

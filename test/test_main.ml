@@ -24,4 +24,5 @@ let () =
       ("lint", Test_lint.suite);
       ("fuzz", Test_fuzz.suite);
       ("disasm", Test_disasm.suite);
+      ("robustness", Test_robust.suite);
     ]

@@ -107,7 +107,6 @@ let domain_identity_case =
 let backends =
   [
     ("stack", Scheme.Stack Control.default_config);
-    ("closure", Scheme.Closure Control.default_config);
     ("heap", Scheme.Heap);
   ]
 

@@ -7,7 +7,7 @@
      including every operand shape of the new forms (table-driven);
    - differential: the same program produces identical results with
      the lowering on and off, across the stack VM (default and tiny
-     segments), the heap VM and the closure backend — including
+     segments) and the heap VM — including
      programs that [set!] a fused primitive mid-run, which exercises
      the operand-spill deopt paths;
    - spill discipline at the capture boundary: a capture-heavy workload
@@ -168,7 +168,6 @@ let backends =
     ("stack", Scheme.Stack Control.default_config);
     ("stack/tiny", Scheme.Stack Tutil.tiny_config);
     ("heap", Scheme.Heap);
-    ("closure", Scheme.Closure Control.default_config);
   ]
 
 let corpus_workloads =
@@ -298,7 +297,6 @@ let capture_cases =
       ])
     [
       ("stack", Scheme.Stack Control.default_config);
-      ("closure", Scheme.Closure Control.default_config);
     ]
 
 let suite = disasm_cases @ differential_cases @ deopt_cases @ capture_cases

@@ -1,0 +1,167 @@
+(* No input crashes the host: primitives fed boundary arguments either
+   return or raise [Rt.Scheme_error], which every driver renders as a
+   [runtime] diagnostic.  Any other OCaml exception escaping a primitive
+   (Out_of_memory, Invalid_argument, Division_by_zero, ...) would kill
+   the schemer process with "internal error, uncaught exception".
+
+   Also here: the allocation-size and fixnum-overflow restrictions that
+   turn such host failures into diagnostics, checked on every backend
+   and, for the allocation case, end to end through the CLI. *)
+
+open Tutil
+
+(* Boundary arguments, written as Scheme literals. *)
+let boundary_args =
+  [
+    "0";
+    "-1";
+    string_of_int max_int;
+    string_of_int min_int;
+    "100000000000";
+    "\"\"";
+    "'()";
+    "#f";
+    "#\\a";
+    "'(1 . 2)";
+  ]
+
+(* The arities a primitive accepts, capped: a variadic primitive is
+   called at its minimum and the two arities above it. *)
+let arities = function
+  | Rt.Exactly n -> [ n ]
+  | Rt.At_least n -> [ n; n + 1; n + 2 ]
+
+(* Argument vectors of length [k]: every combination of boundary values
+   up to three arguments; beyond that, each value repeated and each
+   rotation of the value list, which still puts every value at every
+   position. *)
+let arg_vectors k =
+  let rec product k =
+    if k = 0 then [ [] ]
+    else
+      List.concat_map
+        (fun rest -> List.map (fun v -> v :: rest) boundary_args)
+        (product (k - 1))
+  in
+  if k <= 3 then product k
+  else
+    let vals = Array.of_list boundary_args in
+    let n = Array.length vals in
+    List.init n (fun i -> List.init k (fun _ -> vals.(i)))
+    @ List.init n (fun i -> List.init k (fun j -> vals.((i + j) mod n)))
+
+let sweep_prim (name, (p : Rt.prim)) =
+  case (Printf.sprintf "boundary arguments: %s" name) (fun () ->
+      let s = Scheme.create () in
+      List.iter
+        (fun k ->
+          List.iter
+            (fun args ->
+              let src = Printf.sprintf "(%s %s)" name (String.concat " " args) in
+              match Scheme.eval ~fuel:1_000_000 s src with
+              | _ | (exception Rt.Scheme_error _) -> ()
+              | exception e ->
+                  Alcotest.failf "%s raised %s" src (Printexc.to_string e))
+            (arg_vectors k))
+        (arities p.Rt.parity))
+
+(* Every primitive of the table is swept: none of them exits or blocks
+   the process. *)
+let sweep_cases = List.map sweep_prim Prims.the_prims
+
+let backends =
+  [
+    ("stack", fun src -> eval_stack src);
+    ("heap", fun src -> eval_heap src);
+    ("oracle", fun src -> eval_oracle src);
+  ]
+
+(* [src] must fail with exactly the runtime message [msg] on every
+   backend. *)
+let check_runtime_error name src msg =
+  List.map
+    (fun (bname, eval) ->
+      case (Printf.sprintf "%s [%s]" name bname) (fun () ->
+          match eval src with
+          | v -> Alcotest.failf "%s: expected an error, got %s" src v
+          | exception e -> (
+              match Diag.of_exn e with
+              | Some d ->
+                  Alcotest.(check string) src
+                    ("error: [runtime] " ^ msg) (Diag.to_string d)
+              | None ->
+                  Alcotest.failf "%s raised %s" src (Printexc.to_string e))))
+    backends
+
+let check_value name src expected =
+  List.map
+    (fun (bname, eval) ->
+      case (Printf.sprintf "%s [%s]" name bname) (fun () ->
+          Alcotest.(check string) src expected (eval src)))
+    backends
+
+let alloc_cases =
+  check_runtime_error "make-vector: huge size"
+    "(make-vector 100000000000 0)" "make-vector: size too large 100000000000"
+  @ check_runtime_error "make-string: huge size"
+      "(make-string 100000000000 #\\a)"
+      "make-string: size too large 100000000000"
+  @ check_runtime_error "make-vector: size beyond the array limit"
+      (Printf.sprintf "(make-vector %d)" max_int)
+      (Printf.sprintf "make-vector: size too large %d" max_int)
+
+let expt_cases =
+  check_value "expt: 2^61 is exact" "(expt 2 61)" "2305843009213693952"
+  @ check_value "expt: (-2)^61 is exact" "(expt -2 61)"
+      "-2305843009213693952"
+  @ check_value "expt: 3^39 is exact" "(expt 3 39)" "4052555153018976267"
+  @ check_value "expt: huge exponent of 1 and 0"
+      "(list (expt 1 1000000) (expt 0 1000000))" "(1 0)"
+  @ check_runtime_error "expt: 2^62 overflows" "(expt 2 62)"
+      "expt: fixnum overflow 2 62"
+  @ check_runtime_error "expt: 2^100 overflows" "(expt 2 100)"
+      "expt: fixnum overflow 2 100"
+
+(* The CLI prints the one diagnostic line on stderr and exits 1. *)
+let schemer =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name
+       (Filename.concat "bin" "schemer.exe"))
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  go []
+
+let cli_cases =
+  List.map
+    (fun backend ->
+      case (Printf.sprintf "CLI: make-vector huge size [%s]" backend)
+        (fun () ->
+          let out = Filename.temp_file "schemer" ".out" in
+          let err = Filename.temp_file "schemer" ".err" in
+          let code =
+            Sys.command
+              (Printf.sprintf "%s --backend %s -e %s >%s 2>%s"
+                 (Filename.quote schemer) backend
+                 (Filename.quote "(make-vector 100000000000 0)")
+                 (Filename.quote out) (Filename.quote err))
+          in
+          let stdout_lines = read_lines out and stderr_lines = read_lines err in
+          Sys.remove out;
+          Sys.remove err;
+          Alcotest.(check int) "exit code" 1 code;
+          Alcotest.(check (list string)) "stdout" [] stdout_lines;
+          Alcotest.(check (list string)) "stderr"
+            [ "1:0: error: [runtime] make-vector: size too large 100000000000" ]
+            stderr_lines))
+    [ "stack"; "heap"; "oracle" ]
+
+let suite = alloc_cases @ expt_cases @ cli_cases @ sweep_cases

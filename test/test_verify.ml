@@ -73,7 +73,6 @@ let accept_session_cases =
         stage_combos)
     [
       ("stack", Scheme.Stack Control.default_config);
-      ("closure", Scheme.Closure Control.default_config);
       ("heap", Scheme.Heap);
     ]
 
@@ -103,7 +102,6 @@ let raw ?(name = "bad") ?(arity = Rt.Exactly 0) ?(backpatch = true) ~fw instrs
       arity;
       frame_words = fw;
       timer_ret = Rt.Void;
-      templ = Rt.No_template;
       cline = 0;
       ccol = 0;
     }
