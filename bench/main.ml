@@ -911,8 +911,8 @@ let e9 ~full () =
         @ [
             (* master + shard-summed deterministic counters: invariant
                across chunk distributions by the per-chunk discipline
-               (chunk size never depends on jobs; segment cache cleared
-               per chunk) *)
+               (chunk size never depends on jobs; segment cache reset
+               to a canonical warm state per chunk) *)
             ("instrs", J_int (master.Stats.instrs + sum "instrs"));
             ( "words_copied",
               J_int (master.Stats.words_copied + sum "words-copied") );

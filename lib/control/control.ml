@@ -143,10 +143,34 @@ let release_segment m seg =
     m.stats.cache_releases <- m.stats.cache_releases + 1
   end
 
-let clear_cache m =
-  Array.fill m.cache 0 cache_classes [];
-  m.cache_len <- 0;
-  m.cache_words <- 0
+(* Put the cache into a canonical state: exactly [n] (capped at
+   [cache_max]; 0 when caching is off) standard [seg_words] arrays, the
+   cached ones reused first and the shortfall topped up with fresh
+   arrays.  Oversized arrays and the surplus are dropped.  Nothing here
+   is counted in [Stats]: the reset is bookkeeping that makes what
+   follows independent of what ran before, not work of the program.
+   Already canonical (the steady state) is the allocation-free fast
+   path: [n] arrays of total [n * seg_words] words can only be [n]
+   standard ones. *)
+let reset_cache m n =
+  let n = if m.cfg.cache_enabled then max 0 (min n m.cfg.cache_max) else 0 in
+  let sw = m.cfg.seg_words in
+  if not (m.cache_len = n && m.cache_words = n * sw) then begin
+    let rec keep k acc = function
+      | seg :: rest when k < n ->
+          if Array.length seg = sw then keep (k + 1) (seg :: acc) rest
+          else keep k acc rest
+      | _ -> (k, acc)
+    in
+    let k, kept = keep 0 [] m.cache.(0) in
+    let rec top_up k acc =
+      if k >= n then acc else top_up (k + 1) (Array.make sw Void :: acc)
+    in
+    Array.fill m.cache 0 cache_classes [];
+    m.cache.(0) <- top_up k kept;
+    m.cache_len <- n;
+    m.cache_words <- n * sw
+  end
 
 (* The active record wholly owns its array iff it covers it entirely;
    only then may the array be recycled when the stack is abandoned. *)

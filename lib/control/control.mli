@@ -58,8 +58,9 @@ type config = {
 val default_config : config
 (** 16K-word segments, 128-word copy bound, [As_call1cc] overflow with
     64 words of hysteresis, whole-segment sealing, cache of up to 1024
-    segments (the cache is dropped wholesale by {!clear_cache}, standing in
-    for the paper's discard-at-GC), shared-flag promotion (the paper's
+    segments (never trimmed by the collector; {!reset_cache} drops or
+    refills it explicitly, [reset_cache m 0] standing in for the paper's
+    discard-at-GC), shared-flag promotion (the paper's
     O(1) scheme of §3.3; [Eager] remains available as a config/CLI
     option). *)
 
@@ -145,9 +146,14 @@ val underflow : t -> Rt.retaddr option
     [None] means the machine ran off the bottom of the whole stack
     (halt). *)
 
-val clear_cache : t -> unit
-(** Drop every cached segment (the paper lets the storage manager discard
-    cached stacks at collection time). *)
+val reset_cache : t -> int -> unit
+(** [reset_cache m n] puts the cache into a canonical warm state: exactly
+    [n] segments of [seg_words] words ([n] capped at [cache_max], and 0
+    when [cache_enabled] is off).  Cached standard segments are reused,
+    the shortfall is topped up with fresh arrays, oversized and surplus
+    segments are dropped.  No {!Stats} counter moves.  [reset_cache m 0]
+    drops every cached segment (the paper lets the storage manager
+    discard cached stacks at collection time). *)
 
 val seg_request : t -> int -> int
 (** Number of words a request for [n] words actually allocates: at least

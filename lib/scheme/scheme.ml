@@ -76,7 +76,13 @@ and parpool = {
          worker's counter writes before the master's reads) *)
 }
 
-and parworker = { w_session : t; mutable w_replayed : int }
+and parworker = {
+  w_session : t;
+  mutable w_replayed : int;
+  w_out : Buffer.t; (* the session's output buffer, cleared per chunk *)
+  w_drivers : (string, Rt.code list) Hashtbl.t;
+      (* compiled chunk drivers by source text; emptied by replay *)
+}
 
 let eval_machine ?fuel t src =
   match t.machine with
@@ -240,14 +246,22 @@ let par_worker_session pool i =
   Mutex.lock pool.p_lock;
   pool.p_shard_stats.(i) <- Some stats;
   Mutex.unlock pool.p_lock;
-  { w_session = s; w_replayed = 0 }
+  let w_out =
+    match s.machine with
+    | M_stack vm -> vm.Engine.out
+    | M_heap vm -> vm.Engine.out
+    | M_oracle _ -> invalid_arg "Scheme.par: oracle sessions cannot be workers"
+  in
+  { w_session = s; w_replayed = 0; w_out; w_drivers = Hashtbl.create 4 }
 
 (* Bring a worker's globals up to date with the master's definition log.
    Replay is bookkeeping, not task work: its counters are cancelled with
    a snapshot/restore so per-shard stats stay comparable across
    distributions.  A replay error is swallowed — the form succeeded on
    the master, and a worker that cannot rebuild one binding should still
-   run tasks that never touch it. *)
+   run tasks that never touch it.  A replayed form may change how the
+   chunk driver text expands (a [define-syntax]), so the table of
+   compiled drivers is emptied. *)
 let par_replay pool w =
   Mutex.lock pool.p_lock;
   let log = pool.p_log and len = pool.p_loglen in
@@ -260,27 +274,58 @@ let par_replay pool w =
         try ignore (eval ?fuel:pool.p_fuel w.w_session src) with _ -> ())
       (List.rev fresh);
     w.w_replayed <- len;
+    Hashtbl.reset w.w_drivers;
     Stats.blit ~src:snap ~dst:(stats w.w_session)
   end
 
+(* Run the chunk driver [src] on a worker.  The driver text takes only a
+   few distinct values per worker (one per mode and task procedure), so
+   it is read, expanded and compiled once and the code rerun; the
+   oracle has no bytecode and evaluates the text. *)
+let par_run_driver pool w src =
+  let s = w.w_session in
+  let compile (vm : _ Engine.vm) =
+    match Hashtbl.find_opt w.w_drivers src with
+    | Some codes -> codes
+    | None ->
+        let codes =
+          Compiler.compile_string ~optimize:s.optimize ~peephole:s.peephole
+            ~regalloc:s.regalloc ~verify:s.verify ~hygiene:vm.Engine.hygiene
+            ~menv:vm.Engine.menv vm.Engine.globals src
+        in
+        Hashtbl.replace w.w_drivers src codes;
+        codes
+  in
+  match s.machine with
+  | M_stack vm -> Vm.run_program ?fuel:pool.p_fuel vm (compile vm)
+  | M_heap vm -> Heapvm.run_program ?fuel:pool.p_fuel vm (compile vm)
+  | M_oracle _ -> eval ?fuel:pool.p_fuel s src
+
 (* Run one chunk on a worker session.  The per-chunk discipline exists
-   for counter determinism: the segment cache is dropped before every
-   chunk, so a chunk's deterministic counters (instrs, words-copied,
-   seg-alloc-words) do not depend on which chunks happened to warm this
-   worker earlier — that is what makes no-steal shard counters sum
-   exactly to a 1-worker run's, the identity bench e9 asserts. *)
+   for counter determinism: before every chunk the segment cache is
+   reset to a canonical warm state of [p_chunk + 2] standard segments
+   (one per fiber, one for the [alldone] exit continuation, one for the
+   driver run's own initial frame), so a chunk's deterministic counters
+   (instrs, words-copied, seg-alloc-words) do not depend on which chunks
+   ran on this worker earlier — that is what makes no-steal shard
+   counters sum exactly to a 1-worker run's, the identity bench e9
+   asserts — while a chunk that fits starts cache-warm and allocates no
+   segment at all.  The worker's output buffer is cleared likewise, so
+   each chunk pays only for its own output. *)
 let par_exec_task pool w (task : partask) =
   par_replay pool w;
   let s = w.w_session in
   let st = stats s in
   if st.Stats.enabled then st.Stats.par_tasks <- st.Stats.par_tasks + 1;
-  (match control s with Some c -> Control.clear_cache c | None -> ());
+  (match control s with
+  | Some c -> Control.reset_cache c (pool.p_chunk + 2)
+  | None -> ());
+  Buffer.clear w.w_out;
   Globals.define (globals s) "%par-args"
     (Rt.Vec (Array.map Flatvalue.deserialize task.pt_args));
   (match task.pt_init with
   | Some fv -> Globals.define (globals s) "%par-init" (Flatvalue.deserialize fv)
   | None -> ());
-  let out_before = String.length (output s) in
   let sanitize () =
     (* After an abnormal exit the chunk's preemption timer may still be
        armed; disarm it so it cannot fire into a dead scheduler during
@@ -289,7 +334,7 @@ let par_exec_task pool w (task : partask) =
   in
   let result =
     match
-      eval ?fuel:pool.p_fuel s
+      par_run_driver pool w
         (Printf.sprintf "(%%par-run-chunk (quote %s) %s)" task.pt_mode
            task.pt_fname)
     with
@@ -317,12 +362,7 @@ let par_exec_task pool w (task : partask) =
         sanitize ();
         Error ("par: worker failure: " ^ Printexc.to_string e)
   in
-  let out_after = output s in
-  {
-    po_result = result;
-    po_output =
-      String.sub out_after out_before (String.length out_after - out_before);
-  }
+  { po_result = result; po_output = Buffer.contents w.w_out }
 
 type par_next = P_shutdown | P_task of partask * bool | P_wait
 

@@ -245,13 +245,99 @@ let suite =
         Alcotest.(check int) "four fresh allocations" 4
           (stats.Stats.seg_allocs - before);
         Alcotest.(check int) "no hits" 0 stats.Stats.cache_hits);
-    case "clear_cache empties the cache" (fun () ->
+    case "reset_cache 0 empties the cache" (fun () ->
         let m = machine_with_frames 3 8 in
         let k = Control.capture_oneshot m in
         ignore (Control.reinstate m k);
         Alcotest.(check bool) "cached" true (m.Control.cache_len > 0);
-        Control.clear_cache m;
-        Alcotest.(check int) "empty" 0 m.Control.cache_len);
+        Control.reset_cache m 0;
+        Alcotest.(check int) "empty" 0 m.Control.cache_len;
+        Alcotest.(check int) "no words" 0 m.Control.cache_words);
+    case "reset_cache n holds exactly n standard segments" (fun () ->
+        let stats = Stats.create () in
+        let m = Control.create ~stats small_config in
+        let check_canonical label n =
+          let segs = Array.to_list m.Control.cache |> List.concat in
+          Alcotest.(check int) (label ^ ": arrays") n (List.length segs);
+          List.iter
+            (fun seg ->
+              Alcotest.(check int) (label ^ ": length") 256 (Array.length seg))
+            segs;
+          Alcotest.(check int) (label ^ ": cache_len") n m.Control.cache_len;
+          Alcotest.(check int) (label ^ ": cache_words") (n * 256)
+            m.Control.cache_words
+        in
+        let allocs = stats.Stats.seg_allocs
+        and alloc_words = stats.Stats.seg_alloc_words in
+        (* top-up from empty *)
+        Control.reset_cache m 0;
+        Control.reset_cache m 3;
+        check_canonical "topped up" 3;
+        (* reuse: the cached arrays survive a second reset *)
+        let before = Array.to_list m.Control.cache |> List.concat in
+        Control.reset_cache m 3;
+        let after = Array.to_list m.Control.cache |> List.concat in
+        Alcotest.(check bool) "same arrays reused" true
+          (List.for_all2 ( == ) before after);
+        (* oversized and surplus segments are dropped *)
+        Control.reset_cache m 0;
+        let big = Control.alloc_segment m 600 in
+        let extra = Array.init 4 (fun _ -> Control.alloc_segment m 256) in
+        Control.release_segment m big;
+        Array.iter (Control.release_segment m) extra;
+        Control.reset_cache m 2;
+        check_canonical "trimmed" 2;
+        Alcotest.(check bool) "oversized dropped" false
+          (List.exists (fun seg -> seg == big)
+             (Array.to_list m.Control.cache |> List.concat));
+        (* an oversized-only cache is refilled with standard segments *)
+        Control.reset_cache m 0;
+        Control.release_segment m big;
+        Control.reset_cache m 1;
+        check_canonical "replaced" 1;
+        (* only the explicit alloc_segment calls above were counted *)
+        Alcotest.(check int) "seg_allocs" (allocs + 5) stats.Stats.seg_allocs;
+        Alcotest.(check int) "seg_alloc_words"
+          (alloc_words + 768 + (4 * 256))
+          stats.Stats.seg_alloc_words);
+    case "reset_cache moves no counter" (fun () ->
+        let stats = Stats.create () in
+        let m = Control.create ~stats small_config in
+        let a = Control.alloc_segment m 512 in
+        Control.release_segment m a;
+        let snap = Stats.copy stats in
+        Control.reset_cache m 5;
+        Control.reset_cache m 2;
+        Control.reset_cache m 0;
+        Control.reset_cache m 4;
+        Alcotest.(check int) "seg_allocs" snap.Stats.seg_allocs
+          stats.Stats.seg_allocs;
+        Alcotest.(check int) "seg_alloc_words" snap.Stats.seg_alloc_words
+          stats.Stats.seg_alloc_words;
+        Alcotest.(check int) "cache_hits" snap.Stats.cache_hits
+          stats.Stats.cache_hits;
+        Alcotest.(check int) "cache_releases" snap.Stats.cache_releases
+          stats.Stats.cache_releases;
+        Alcotest.(check int) "cache_words_hw" snap.Stats.cache_words_hw
+          stats.Stats.cache_words_hw;
+        (* the warm segments are then served as ordinary cache hits *)
+        ignore (Control.alloc_segment m 256);
+        Alcotest.(check int) "hit" (snap.Stats.cache_hits + 1)
+          stats.Stats.cache_hits;
+        Alcotest.(check int) "no fresh segment" snap.Stats.seg_allocs
+          stats.Stats.seg_allocs);
+    case "reset_cache is empty with caching off" (fun () ->
+        let m =
+          Control.create { small_config with Control.cache_enabled = false }
+        in
+        Control.reset_cache m 4;
+        Alcotest.(check int) "cache_len" 0 m.Control.cache_len;
+        Alcotest.(check int) "cache_words" 0 m.Control.cache_words);
+    case "reset_cache caps n at cache_max" (fun () ->
+        let m = Control.create { small_config with Control.cache_max = 3 } in
+        Control.reset_cache m 10;
+        Alcotest.(check int) "cache_len" 3 m.Control.cache_len;
+        Alcotest.(check int) "cache_words" (3 * 256) m.Control.cache_words);
     case "multi-shot record invariants hold along a chain" (fun () ->
         let m = machine_with_frames 4 8 in
         let _k1 = Control.capture_multi m in
@@ -333,8 +419,8 @@ let suite =
         let b = Control.alloc_segment m 512 in
         let c = Control.alloc_segment m 768 in
         (* the machine's own initial segment is already cached or not;
-           normalize by clearing first *)
-        Control.clear_cache m;
+           normalize by emptying first *)
+        Control.reset_cache m 0;
         Control.release_segment m a;
         Control.release_segment m b;
         Control.release_segment m c;
@@ -342,7 +428,7 @@ let suite =
     case "cache_words_hw tracks the parked-words high-water" (fun () ->
         let stats = Stats.create () in
         let m = Control.create ~stats small_config in
-        Control.clear_cache m;
+        Control.reset_cache m 0;
         let hw0 = stats.Stats.cache_words_hw in
         let a = Control.alloc_segment m 256 in
         let b = Control.alloc_segment m 512 in

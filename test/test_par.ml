@@ -100,6 +100,81 @@ let domain_identity_case =
         (fun (n, a) (_, b) -> Alcotest.(check int) ("shard sum " ^ n) b a)
         sums_dom sums_seq)
 
+(* The steady state: each chunk starts on a cache reset to its warm
+   canonical size, so fib chunks that fit never allocate a segment. *)
+let warm_cache_case =
+  case "warm chunks allocate no segment [stack]" (fun () ->
+      with_par ~jobs:2 ~chunk:2 ~steal:false ~corpus:true (fun s ->
+          ignore (peval s "(par-map fib (iota 12))");
+          Alcotest.(check int) "tasks" 6 (shard_sum s "par-tasks");
+          Alcotest.(check int) "seg-alloc-words" 0
+            (shard_sum s "seg-alloc-words")))
+
+(* A chunk that overflows needs more segments than the warm cache
+   holds: it allocates, releases the surplus back into the cache, and
+   the next chunk's reset trims it.  The shard sums must still be
+   distribution-invariant. *)
+let trim_identity_case =
+  case "no-steal identity with overflowing chunks [stack]" (fun () ->
+      let defs =
+        [ "(define (deep n) (if (= n 0) 0 (+ 1 (deep (- n 1)))))" ]
+      in
+      let expr = "(par-map deep '(20000 3 25000 30000 5 20000 7 40000))" in
+      let measure ~jobs =
+        with_par ~jobs ~chunk:2 ~steal:false (fun s ->
+            List.iter (fun d -> ignore (peval s d)) defs;
+            let v = peval s expr in
+            (v, List.map (fun n -> (n, shard_sum s n)) det_counters))
+      in
+      let v1, one = measure ~jobs:1 in
+      let v4, four = measure ~jobs:4 in
+      Alcotest.(check string) "values" v1 v4;
+      Alcotest.(check string) "result" "(20000 3 25000 30000 5 20000 7 40000)"
+        v1;
+      if List.assoc "seg-alloc-words" one <= 0 then
+        Alcotest.fail "expected chunks that outgrow the warm cache";
+      List.iter2
+        (fun (n, a) (_, b) -> Alcotest.(check int) ("sum of " ^ n) a b)
+        one four)
+
+(* Workers compile each chunk driver once; a master redefinition must
+   still reach the next dispatch. *)
+let driver_cache_case (bname, backend) =
+  case (Printf.sprintf "redefined task procedure reaches cached driver [%s]"
+          bname) (fun () ->
+      with_par ~backend ~jobs:1 (fun s ->
+          ignore (peval s "(define (f x) (* x 2))");
+          Alcotest.(check string) "first" "(2 4 6)"
+            (peval s "(par-map f '(1 2 3))");
+          Alcotest.(check string) "again" "(8 10)"
+            (peval s "(par-map f '(4 5))");
+          ignore (peval s "(define (f x) (+ x 100))");
+          Alcotest.(check string) "redefined" "(101 102 103)"
+            (peval s "(par-map f '(1 2 3))");
+          ignore (peval s "(set! f (lambda (x) (list x)))");
+          Alcotest.(check string) "reassigned" "((1) (2))"
+            (peval s "(par-map f '(1 2))")))
+
+(* Worker output is taken per chunk, not re-copied from the start of the
+   worker's buffer, and still stitches back in chunk order. *)
+let output_order_case ?(domains = false) ~jobs () =
+  case
+    (Printf.sprintf "par-for-each output over 45 chunks = for-each [%d jobs%s]"
+       jobs
+       (if domains then ", domains" else ""))
+    (fun () ->
+      let def = "(define (show x) (display x) (display \",\"))" in
+      let serial =
+        let s = Scheme.create () in
+        ignore (peval s def);
+        ignore (peval s "(for-each show (iota 45))");
+        Scheme.output s
+      in
+      with_par ~jobs ~chunk:1 ~domains (fun s ->
+          ignore (peval s def);
+          ignore (peval s "(par-for-each show (iota 45))");
+          Alcotest.(check string) "output" serial (Scheme.output s)))
+
 (* ------------------------------------------------------------------ *)
 (* The suite                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -212,6 +287,13 @@ let suite =
                 (peval s "(par-map g '(1 2))")));
       counter_identity_case;
       domain_identity_case;
+      warm_cache_case;
+      trim_identity_case;
+      output_order_case ~jobs:3 ();
+      output_order_case ~domains:true ~jobs:2 ();
+    ]
+  @ List.map driver_cache_case backends
+  @ [
       (* no-steal round-robin pins tasks: with 2 jobs and 4 chunks each
          shard executes exactly 2 *)
       case "no-steal task assignment" (fun () ->
