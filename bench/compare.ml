@@ -370,8 +370,8 @@ let () =
           (delta_pct b c))
       instr_rows
   end;
-  (* Scaling summary: experiments recording "jobs" + "speedup" (e6's
-     session pool, e9's data-parallel legs) report their speedup at N
+  (* Scaling summary: experiments recording "jobs" + "speedup" (e9's
+     data-parallel legs) report their speedup at N
      shards against the run's own sequential reference; the baseline's
      speedup prints alongside when it recorded the same experiment.
      Like wall clock, these are informational -- the deterministic

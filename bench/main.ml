@@ -7,8 +7,6 @@
      e3    deep recursion under overflow policies (Section 4, third result)
      e4    per-frame overhead, stack vs heap      (Section 5, Appel-Shao)
      e5    dynamic-wind: deep wind/unwind with escaping one-shot conts
-     e6    session pool: --jobs N independent sessions, one domain each
-           (not in [all]; CI compares domains vs --sequential at 0%)
      e9    data-parallel par-map/par-reduce: chunked tasks over --jobs
            worker shards, one-shot-continuation fiber scheduling with
            work stealing (not in [all]; CI compares --no-steal domains
@@ -18,7 +16,7 @@
      a3    copy bound sweep (splitting)
      a4    one-shot fragmentation: whole-segment vs seal-displacement
      a5    promotion: eager walk vs shared flag
-     micro Bechamel micro-benchmarks of the control primitives
+     a6    capture strategy: zero-copy sealing vs eager copy-on-capture
 
    Quick mode (default) runs scaled-down parameters; [--full] uses the
    paper's exact workloads (fib 20, 1000 threads, 10^6-call recursions). *)
@@ -614,7 +612,8 @@ let a5 ~full () =
 
 let a6 ~full () =
   header
-    "A6 (extension): capture strategy -- paper's zero-copy sealing vs the      classic eager copy-on-capture";
+    "A6 (extension): capture strategy -- paper's zero-copy sealing vs the \
+     classic eager copy-on-capture";
   let x, y, z = if full then (18, 12, 6) else (16, 11, 5) in
   Printf.printf
     "  workload: (ctak %d %d %d) with %%call/cc -- a capture at every call\n"
@@ -723,91 +722,6 @@ let e5 ~full () =
     ((ms_s -. ms_n) /. ms_s *. 100.)
 
 (* ------------------------------------------------------------------ *)
-(* E6: session pool sharded across OCaml domains                       *)
-(* ------------------------------------------------------------------ *)
-
-let e6_jobs = ref 4
-let e6_sequential = ref false
-
-(* Not part of [all]: e6's JSON keys depend on --jobs, and [all --json]
-   must keep producing exactly the experiment set of the committed
-   baseline now that compare.exe treats a missing experiment as a
-   failure.  CI runs e6 as its own step, comparing a --jobs N domains
-   run against a --jobs N --sequential run at zero tolerance: the
-   per-shard deterministic counters must be bit-identical, which is the
-   whole point — shards share no mutable state. *)
-let e6 ~full () =
-  let jobs = max 1 !e6_jobs in
-  header
-    (Printf.sprintf
-       "E6: session pool -- %d independent sessions%s (one domain each)" jobs
-       (if !e6_sequential then ", run sequentially" else ""));
-  let src =
-    if full then
-      "(begin (set! ctak-capture %call/1cc) (fib 20) (ctak 18 12 6))"
-    else "(begin (set! ctak-capture %call/1cc) (fib 16) (ctak 14 9 5))"
-  in
-  (* Baseline: the same workload on a single one-shard pool.  Pool runs
-     include session creation and corpus load, so both sides of the
-     speedup ratio price the whole shard, not just the eval. *)
-  let _, ms_one, _ =
-    time_ms (fun () -> Scheme.Pool.run ~corpus:true ~domains:false ~jobs:1 src)
-  in
-  let shards, ms_pool, med_pool =
-    time_ms (fun () ->
-        Scheme.Pool.run ~corpus:true ~domains:(not !e6_sequential) ~jobs src)
-  in
-  (* Reference run for the determinism pin: same shards, sequentially on
-     the calling domain.  Every per-shard counter must match exactly. *)
-  let seq_shards = Scheme.Pool.run ~corpus:true ~domains:false ~jobs src in
-  let speedup = float_of_int jobs *. ms_one /. ms_pool in
-  Printf.printf "  workload/shard: %s\n" src;
-  Printf.printf "  %-8s %12s %12s %12s %8s\n" "shard" "instrs" "copied(w)"
-    "alloc(w)" "value";
-  let deterministic = ref true in
-  List.iter2
-    (fun (sh : Scheme.Pool.shard) (sq : Scheme.Pool.shard) ->
-      let st = sh.Scheme.Pool.stats and sq_st = sq.Scheme.Pool.stats in
-      Printf.printf "  %-8d %12d %12d %12d %8s\n" sh.Scheme.Pool.shard
-        st.Stats.instrs st.Stats.words_copied st.Stats.seg_alloc_words
-        (Values.write_string sh.Scheme.Pool.value);
-      if
-        st.Stats.instrs <> sq_st.Stats.instrs
-        || st.Stats.words_copied <> sq_st.Stats.words_copied
-        || st.Stats.seg_alloc_words <> sq_st.Stats.seg_alloc_words
-        || sh.Scheme.Pool.value <> sq.Scheme.Pool.value
-      then deterministic := false;
-      record
-        (Printf.sprintf "e6.shard%d" sh.Scheme.Pool.shard)
-        (stat_metrics st))
-    shards seq_shards;
-  Printf.printf "  1 shard: %.1f ms;  %d shards: %.1f ms;  speedup %.2fx\n"
-    ms_one jobs ms_pool speedup;
-  Printf.printf "  per-shard counters vs sequential run: %s\n"
-    (if !deterministic then "identical" else "MISMATCH");
-  let agg field = List.fold_left (fun a sh -> a + field sh) 0 shards in
-  record_run "e6.parallel" ms_pool ~median:med_pool
-    (let sum = Stats.create () in
-     sum.Stats.instrs <-
-       agg (fun sh -> sh.Scheme.Pool.stats.Stats.instrs);
-     sum.Stats.words_copied <-
-       agg (fun sh -> sh.Scheme.Pool.stats.Stats.words_copied);
-     sum.Stats.seg_alloc_words <-
-       agg (fun sh -> sh.Scheme.Pool.stats.Stats.seg_alloc_words);
-     sum.Stats.cache_hits <-
-       agg (fun sh -> sh.Scheme.Pool.stats.Stats.cache_hits);
-     sum)
-    ~extra:
-      [
-        ("jobs", J_int jobs);
-        ("speedup", J_float speedup);
-        ("deterministic", J_int (if !deterministic then 1 else 0));
-      ];
-  if not !deterministic then (
-    Printf.eprintf "e6: per-shard counters diverged from the sequential run\n";
-    exit 1)
-
-(* ------------------------------------------------------------------ *)
 (* E9: data-parallel par-map/par-reduce over a worker-shard pool       *)
 (* ------------------------------------------------------------------ *)
 
@@ -816,7 +730,7 @@ let e9_sequential = ref false
 let e9_no_steal = ref false
 let e9_chunk = ref 2
 
-(* Not part of [all], like e6: the shard-record keys depend on --jobs,
+(* Not part of [all]: the shard-record keys depend on --jobs,
    and [all --json] must keep producing exactly the committed baseline's
    experiment set.  CI runs e9 as its own step twice -- once with worker
    domains, once --sequential (inline shards) -- and compares the two
@@ -976,53 +890,6 @@ let e9 ~full () =
     exit 1)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  header "micro: Bechamel benchmarks of the control primitives";
-  let open Bechamel in
-  (* Compile once; each run re-executes the compiled form, so the numbers
-     measure the control operations, not the reader/compiler. *)
-  let make_test name src =
-    let vm = Vm.create () in
-    ignore (Vm.eval vm Prelude.source);
-    ignore (Vm.eval vm Programs.all_defs);
-    ignore (Vm.eval vm Threads.scheduler);
-    let codes = Compiler.compile_string (Vm.globals vm) src in
-    Test.make ~name
-      (Staged.stage (fun () -> ignore (Vm.run_program vm codes)))
-  in
-  let tests =
-    [
-      make_test "capture+invoke %call/cc" "(%call/cc (lambda (k) (k 1)))";
-      make_test "capture+invoke %call/1cc" "(%call/1cc (lambda (k) (k 1)))";
-      make_test "capture-only %call/cc" "(%call/cc (lambda (k) 1))";
-      make_test "capture-only %call/1cc" "(%call/1cc (lambda (k) 1))";
-      make_test "plain call baseline" "((lambda (x) x) 1)";
-      make_test "thread switch pair (1cc)"
-        "(run-threads (list (lambda () 1) (lambda () 2)) 1000 %call/1cc)";
-      make_test "engine slice" "(engine-run-to-completion 64 (make-engine (lambda () (fib 8))))";
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      Hashtbl.iter
-        (fun name raw ->
-          let est = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates est with
-          | Some [ e ] -> Printf.printf "  %-32s %12.1f ns/run\n" name e
-          | _ -> Printf.printf "  %-32s (no estimate)\n" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1069,10 +936,8 @@ let () =
     | _ :: rest -> jobs_arg rest
     | [] -> 4
   in
-  e6_jobs := jobs_arg argv;
-  e6_sequential := List.mem "--sequential" argv;
   e9_jobs := jobs_arg argv;
-  e9_sequential := !e6_sequential;
+  e9_sequential := List.mem "--sequential" argv;
   e9_no_steal := List.mem "--no-steal" argv;
   let rec chunk_arg = function
     | "--par-chunk" :: n :: _ -> (
@@ -1109,7 +974,6 @@ let () =
   | "e3" -> e3 ~full ()
   | "e4" -> e4 ~full ()
   | "e5" -> e5 ~full ()
-  | "e6" -> e6 ~full ()
   | "e9" -> e9 ~full ()
   | "a1" -> a1 ~full ()
   | "a2" -> a2 ~full ()
@@ -1117,13 +981,10 @@ let () =
   | "a4" -> a4 ~full ()
   | "a5" -> a5 ~full ()
   | "a6" -> a6 ~full ()
-  | "micro" -> micro ()
-  | "all" ->
-      all ~full ();
-      micro ()
+  | "all" -> all ~full ()
   | other ->
       Printf.eprintf
-        "unknown experiment %s (expected e1..e6, e9, a1..a6, micro, all)\n"
+        "unknown experiment %s (expected e1..e5, e9, a1..a6, all)\n"
         other;
       exit 1);
   match json with

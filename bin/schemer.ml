@@ -64,36 +64,6 @@ let run_lint ~exprs ~files =
     exprs;
   if !count = 0 then 0 else 1
 
-(* --jobs N: evaluate the program on N fully independent sessions
-   (Scheme.Pool), one OCaml domain per shard unless --sequential.  Shard
-   results print in index order, so the output is deterministic either
-   way. *)
-let run_pool ~backend ~corpus ~stats_flag ~optimize ~peephole ~regalloc ~verify
-    ~hygiene ~jobs ~sequential ~exprs ~files =
-  let src = String.concat "\n" (List.map read_file files @ exprs) in
-  match
-    Scheme.Pool.run ~backend ~corpus ~optimize ~peephole ~regalloc ~verify
-      ~hygiene ~domains:(not sequential) ~jobs src
-  with
-  | shards ->
-      List.iter
-        (fun (sh : Scheme.Pool.shard) ->
-          if sh.Scheme.Pool.output <> "" then print_string sh.Scheme.Pool.output;
-          if sh.Scheme.Pool.value <> Rt.Void then
-            Printf.printf "shard %d: %s\n" sh.Scheme.Pool.shard
-              (Values.write_string sh.Scheme.Pool.value);
-          if stats_flag then begin
-            Printf.eprintf "\n-- machine counters (shard %d) --\n"
-              sh.Scheme.Pool.shard;
-            List.iter
-              (fun (name, v) ->
-                if v <> 0 then Printf.eprintf "%-18s %d\n" name v)
-              (Stats.to_rows sh.Scheme.Pool.stats)
-          end)
-        shards;
-      0
-  | exception e when report_exn e -> 1
-
 let run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
     ~expand_only ~optimize ~peephole ~regalloc ~verify ~hygiene ~par ~exprs
     ~files ~interactive =
@@ -283,24 +253,25 @@ let main backend_kind seg_words copy_bound overflow hysteresis seal_disp
         n;
       2
   | Some chunk ->
-      (* --par-chunk selects the data-parallel pool on ONE master
-         session (par-map fan-out), as opposed to --jobs alone, which
-         replicates the whole program across independent sessions. *)
       run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
         ~expand_only ~optimize ~peephole:(not no_peephole)
         ~regalloc:(not no_regalloc) ~verify ~hygiene
         ~par:(Some (chunk, not no_steal, not sequential, jobs))
         ~exprs ~files ~interactive
+  | None when jobs > 1 ->
+      (* --jobs sizes the par worker pool, which only --par-chunk
+         attaches; alone it would have nothing to do. *)
+      Printf.eprintf
+        "schemer: --jobs %d needs --par-chunk (--jobs sets the number of \
+         par workers)\n\
+         %!"
+        jobs;
+      2
   | None ->
-      if jobs > 1 then
-        run_pool ~backend ~corpus ~stats_flag ~optimize
-          ~peephole:(not no_peephole) ~regalloc:(not no_regalloc) ~verify
-          ~hygiene ~jobs ~sequential ~exprs ~files
-      else
-        run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
-          ~expand_only ~optimize ~peephole:(not no_peephole)
-          ~regalloc:(not no_regalloc) ~verify ~hygiene ~par:None ~exprs ~files
-          ~interactive
+      run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
+        ~expand_only ~optimize ~peephole:(not no_peephole)
+        ~regalloc:(not no_regalloc) ~verify ~hygiene ~par:None ~exprs ~files
+        ~interactive
 
 let cmd =
   let backend =
@@ -365,7 +336,8 @@ let cmd =
       & opt capture_conv Control.Seal
       & info [ "capture" ]
           ~doc:
-            "call/cc capture strategy: seal (the paper's zero-copy              segmented stack) or copy (eager copy-on-capture baseline).")
+            "call/cc capture strategy: seal (the paper's zero-copy \
+             segmented stack) or copy (eager copy-on-capture baseline).")
   in
   let scheme_winders =
     Arg.(
@@ -415,7 +387,8 @@ let cmd =
       value & flag
       & info [ "optimize" ]
           ~doc:
-            "Enable the AST optimizer (constant folding; assumes standard              bindings).")
+            "Enable the AST optimizer (constant folding; assumes standard \
+             bindings).")
   in
   let no_peephole =
     Arg.(
@@ -459,17 +432,18 @@ let cmd =
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Evaluate the program on $(docv) fully independent sessions \
-             (Scheme.Pool), one OCaml domain per shard.")
+            "Number of par worker shards attached by --par-chunk (one OCaml \
+             domain each unless --sequential); a value above 1 requires \
+             --par-chunk.")
   in
   let sequential =
     Arg.(
       value & flag
       & info [ "sequential" ]
           ~doc:
-            "With --jobs, run the shards one after another on the calling \
-             domain instead of spawning domains (results are identical; \
-             only the wall-clock changes).")
+            "With --par-chunk, run the worker shards one after another on \
+             the calling domain instead of spawning domains (results are \
+             identical; only the wall-clock changes).")
   in
   let par_chunk =
     Arg.(

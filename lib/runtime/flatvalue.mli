@@ -1,11 +1,12 @@
 (** Cross-shard flat-value protocol.
 
-    Shards of a {!Scheme.Pool} are fully independent sessions running on
-    separate OCaml domains; the only process-global structure is the
-    interned symbol table.  Values that travel between a master session
-    and a worker shard must therefore be detached from the sending heap
-    and rebuilt in the receiving one.  [Flatvalue] is that wire format,
-    deliberately restricted to {e flat} data:
+    Worker shards of a par pool ({!Scheme.par_attach}) are fully
+    independent sessions running on separate OCaml domains; the only
+    process-global structure is the interned symbol table.  Values that
+    travel between a master session and a worker shard must therefore be
+    detached from the sending heap and rebuilt in the receiving one.
+    [Flatvalue] is that wire format, deliberately restricted to {e flat}
+    data:
 
     - immediates: the empty list, void, eof, booleans, fixnums, flonums,
       characters

@@ -5,8 +5,8 @@
    embedded cell record.  That makes code objects session-independent:
    the same compiled prelude image executes against any session's table
    (each session owns its own cell array, indexed by the shared slots),
-   which is what lets Scheme.Pool shards share one read-only compiled
-   prelude.  The interner is append-only and mutex-guarded — slot
+   which is what lets every session and par worker share one read-only
+   compiled prelude.  The interner is append-only and mutex-guarded — slot
    numbers are stable for the life of the process and identical across
    domains, so the numbering (and with it every slot embedded in pinned
    bytecode) is deterministic for a fixed program. *)

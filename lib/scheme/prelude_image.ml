@@ -3,13 +3,12 @@
    Every session used to re-read, re-expand and re-compile the prelude
    sources (and then execute the result on its own machine) at create
    time — thousands of dispatched instructions per session before the
-   first user form, multiplied by every {!Scheme.Pool} shard and
-   par-pool worker.  Slot-indexed globals made compiled code
-   session-independent (an [Rt.code] mentions global *slots*, never a
-   session's cells), and the primitive table is process-shared (so the
-   [ps_guard] physical-identity checks in fused prim sites hold in
-   every session): nothing in a compiled prelude is per-session any
-   more.
+   first user form, multiplied by every par-pool worker.  Slot-indexed
+   globals made compiled code session-independent (an [Rt.code]
+   mentions global *slots*, never a session's cells), and the primitive
+   table is process-shared (so the [ps_guard] physical-identity checks
+   in fused prim sites hold in every session): nothing in a compiled
+   prelude is per-session any more.
 
    This module therefore builds the prelude once per configuration
    key — (scheme_winders, optimize, peephole, regalloc), the four

@@ -7,7 +7,7 @@
     table at create time.  Compiled code is session-independent
     (slot-indexed globals, process-shared primitives), so the codes and
     the closure values in the delta are shared read-only by every
-    session and every {!Scheme.Pool} / par-pool shard. *)
+    session and every par-pool shard. *)
 
 type t
 

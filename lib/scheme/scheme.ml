@@ -51,12 +51,6 @@ and parpool = {
   p_domains : bool; (* false: tasks run inline on the calling domain *)
   p_fuel : int option;
   p_corpus : bool; (* workers preload the benchmark corpus *)
-  p_backend : backend;
-  p_hygiene : bool;
-  p_optimize : bool;
-  p_peephole : bool;
-  p_regalloc : bool;
-  p_verify : bool;
   p_lock : Mutex.t;
   p_cond : Condition.t;
   mutable p_log : string list; (* master-evaluated definition forms, newest
@@ -99,10 +93,9 @@ let machine_globals = function
   | M_heap vm -> Heapvm.globals vm
   | M_oracle o -> Oracle.globals o
 
-let create ?(backend = Stack Control.default_config) ?stats ?(prelude = true)
-    ?(scheme_winders = false) ?(corpus = false) ?(optimize = false)
-    ?(peephole = true) ?(regalloc = true) ?(verify = false)
-    ?(hygiene = true) () =
+let create ?(backend = Stack Control.default_config) ?stats
+    ?(scheme_winders = false) ?(optimize = false) ?(peephole = true)
+    ?(regalloc = true) ?(verify = false) ?(hygiene = true) () =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let machine =
     match backend with
@@ -118,29 +111,23 @@ let create ?(backend = Stack Control.default_config) ?stats ?(prelude = true)
     { which = backend; machine; stats; optimize; peephole; regalloc; verify;
       hygiene; par = None }
   in
-  (if prelude then
-     match machine with
-     | M_oracle _ ->
-         (* The oracle interprets ASTs and represents procedures as
-            [Ofun]s, so it cannot consume the bytecode image. *)
-         ignore
-           (eval_machine t
-              (if scheme_winders then Prelude.source_scheme_winders
-               else Prelude.source));
-         ignore (eval_machine t Parprelude.source)
-     | M_stack _ | M_heap _ ->
-         (* Compile-once shared prelude: copy the image's global-slot
-            delta instead of re-expanding/re-compiling/re-executing the
-            sources — the session dispatches zero instructions before
-            its first user form (pinned in test_perf_counters). *)
-         Prelude_image.install
-           (Prelude_image.get ~scheme_winders ~optimize ~peephole ~regalloc)
-           (machine_globals machine));
-  if corpus then begin
-    ignore (eval_machine t Programs.all_defs);
-    ignore (eval_machine t Threads.scheduler);
-    ignore (eval_machine t Cml.source)
-  end;
+  (match machine with
+  | M_oracle _ ->
+      (* The oracle interprets ASTs and represents procedures as
+         [Ofun]s, so it cannot consume the bytecode image. *)
+      ignore
+        (eval_machine t
+           (if scheme_winders then Prelude.source_scheme_winders
+            else Prelude.source));
+      ignore (eval_machine t Parprelude.source)
+  | M_stack _ | M_heap _ ->
+      (* Compile-once shared prelude: copy the image's global-slot
+         delta instead of re-expanding/re-compiling/re-executing the
+         sources — the session dispatches zero instructions before
+         its first user form (pinned in test_perf_counters). *)
+      Prelude_image.install
+        (Prelude_image.get ~scheme_winders ~optimize ~peephole ~regalloc)
+        (machine_globals machine));
   t
 
 let backend t = t.which
@@ -227,19 +214,19 @@ let globals t = machine_globals t.machine
 (* Data-parallel pool (par-map / par-reduce / par-for-each)            *)
 (* ------------------------------------------------------------------ *)
 
-(* A worker shard is a fresh, fully independent session on the pool's
-   backend (the oracle master gets stack workers: task execution is an
-   engine feature).  Counters reset after the prelude/corpus load, as in
-   {!Pool.run_shard}, so a shard's stats describe its tasks alone. *)
-let par_worker_session pool i =
+(* A worker shard is a fresh, fully independent session built from the
+   master's own settings (an oracle master gets stack workers: task
+   execution is an engine feature).  Counters reset after the corpus
+   load, so a shard's stats describe its tasks alone. *)
+let par_worker_session master pool i =
   let stats = Stats.create () in
   let backend =
-    match pool.p_backend with Oracle -> Stack Control.default_config | b -> b
+    match master.which with Oracle -> Stack Control.default_config | b -> b
   in
   let s =
-    create ~backend ~stats ~optimize:pool.p_optimize ~peephole:pool.p_peephole
-      ~regalloc:pool.p_regalloc ~verify:pool.p_verify
-      ~hygiene:pool.p_hygiene ()
+    create ~backend ~stats ~optimize:master.optimize
+      ~peephole:master.peephole ~regalloc:master.regalloc
+      ~verify:master.verify ~hygiene:master.hygiene ()
   in
   if pool.p_corpus then load_corpus s;
   Stats.reset stats;
@@ -399,8 +386,8 @@ let par_take pool i =
         end
         else P_wait
 
-let par_worker_loop pool i =
-  let w = par_worker_session pool i in
+let par_worker_loop master pool i =
+  let w = par_worker_session master pool i in
   let rec loop () =
     Mutex.lock pool.p_lock;
     let rec get () =
@@ -566,7 +553,7 @@ let par_dispatch t pool emit args =
           match pool.p_seq_workers.(i) with
           | Some w -> w
           | None ->
-              let w = par_worker_session pool i in
+              let w = par_worker_session t pool i in
               pool.p_seq_workers.(i) <- Some w;
               w
         in
@@ -624,12 +611,6 @@ let par_attach ?(chunk = 2) ?(steal = true) ?(domains = true) ?fuel
       p_domains = domains;
       p_fuel = fuel;
       p_corpus = corpus;
-      p_backend = t.which;
-      p_hygiene = t.hygiene;
-      p_optimize = t.optimize;
-      p_peephole = t.peephole;
-      p_regalloc = t.regalloc;
-      p_verify = t.verify;
       p_lock = Mutex.create ();
       p_cond = Condition.create ();
       p_log = [];
@@ -646,7 +627,8 @@ let par_attach ?(chunk = 2) ?(steal = true) ?(domains = true) ?fuel
   t.par <- Some pool;
   if domains then
     pool.p_handles <-
-      List.init jobs (fun i -> Domain.spawn (fun () -> par_worker_loop pool i));
+      List.init jobs (fun i ->
+          Domain.spawn (fun () -> par_worker_loop t pool i));
   (* Rebind the session's par primitives over the pool — the same
      overwrite mechanism Engine.create uses for the timer accessors.
      [emit] is the master's own raw-output primitive, captured once so
@@ -694,55 +676,3 @@ let par_shard_stats t =
       let a = Array.copy pool.p_shard_stats in
       Mutex.unlock pool.p_lock;
       a
-
-(* ------------------------------------------------------------------ *)
-(* Session pools                                                       *)
-(* ------------------------------------------------------------------ *)
-
-module Pool = struct
-  type shard = {
-    shard : int;
-    value : Rt.value;
-    output : string;
-    stats : Stats.t;
-  }
-
-  (* One shard = one fully independent session: its own Stats.t, global
-     table, macro environment, output buffer and (for the stack backend)
-     segmented-stack machine with its own segment cache.  Nothing is
-     shared between shards except the interned symbol table, which
-     {!Rt.intern} guards with a mutex — that independence is what makes
-     the domain spawn below safe, and what the engine test-suite's
-     interleaving tests pin down.  Counters are reset after the
-     prelude/corpus load so each shard reports the measured program
-     alone, making per-shard counters comparable with a single
-     sequential session running the same source. *)
-  let run_shard ~backend ~fuel ~corpus ~optimize ~peephole ~regalloc ~verify
-      ~hygiene i src =
-    let stats = Stats.create () in
-    let t =
-      create ~backend ~stats ~optimize ~peephole ~regalloc ~verify ~hygiene ()
-    in
-    if corpus then load_corpus t;
-    Stats.reset stats;
-    let value = eval ?fuel t src in
-    { shard = i; value; output = output t; stats }
-
-  let run ?(backend = Stack Control.default_config) ?fuel ?(corpus = false)
-      ?(optimize = false) ?(peephole = true) ?(regalloc = true)
-      ?(verify = false) ?(hygiene = true) ?domains ~jobs
-      src =
-    let jobs = max 1 jobs in
-    let parallel = match domains with Some b -> b | None -> jobs > 1 in
-    let go i =
-      run_shard ~backend ~fuel ~corpus ~optimize ~peephole ~regalloc ~verify
-        ~hygiene i src
-    in
-    let idx = List.init jobs Fun.id in
-    if parallel then
-      (* Spawn all shards, then join in order: aggregate throughput
-         scales with the machine's cores while the result list stays
-         deterministic. *)
-      List.map Domain.join (List.map (fun i -> Domain.spawn (fun () -> go i)) idx)
-    else List.map go idx
-end

@@ -16,25 +16,25 @@ type backend =
 type t
 
 val create :
-  ?backend:backend -> ?stats:Stats.t -> ?prelude:bool ->
-  ?scheme_winders:bool -> ?corpus:bool -> ?optimize:bool ->
-  ?peephole:bool -> ?regalloc:bool -> ?verify:bool -> ?hygiene:bool ->
-  unit -> t
+  ?backend:backend -> ?stats:Stats.t -> ?scheme_winders:bool ->
+  ?optimize:bool -> ?peephole:bool -> ?regalloc:bool -> ?verify:bool ->
+  ?hygiene:bool -> unit -> t
 (** Defaults: [Stack Control.default_config], prelude loaded with the
     native winder protocol ([?scheme_winders:true] loads the historical
     Scheme-level [%winders] implementation instead, for differential
-    testing), benchmark corpus definitions not loaded, AST optimizer off
-    (see {!Optimize}), bytecode peephole fusion on ([?peephole:false]
-    executes the unfused bytecode, e.g. for differential testing), and
-    its register-lowering stage on ([?regalloc:false] keeps the
-    push-based encoding while retaining the other fusions).
-    [?verify:true] runs the {!Verify} static bytecode verifier over
-    every code object the session compiles — prelude and corpus
-    included — raising [Verify.Error] on any violated invariant.
-    [?hygiene:false] turns off the expander's hygienic [syntax-rules]
-    renaming (see {!Expander}), reproducing the historical textual
-    expansion; worker shards of an attached par pool inherit the
-    switch. *)
+    testing), AST optimizer off (see {!Optimize}), bytecode peephole
+    fusion on ([?peephole:false] executes the unfused bytecode, e.g. for
+    differential testing), and its register-lowering stage on
+    ([?regalloc:false] keeps the push-based encoding while retaining the
+    other fusions).  The benchmark corpus is not loaded; call
+    {!load_corpus} for it.  [?verify:true] runs the {!Verify} static
+    bytecode verifier over every code object the session compiles —
+    prelude and corpus included — raising [Verify.Error] on any violated
+    invariant.  [?hygiene:false] turns off the expander's hygienic
+    [syntax-rules] renaming (see {!Expander}), reproducing the
+    historical textual expansion.  Worker shards of an attached par pool
+    are built with this session's [optimize], [peephole], [regalloc],
+    [verify] and [hygiene] settings. *)
 
 val backend : t -> backend
 val eval : ?fuel:int -> t -> string -> Rt.value
@@ -62,7 +62,8 @@ val stats : t -> Stats.t
     and reading it through the machine give the same counters.  Note the
     footgun avoided: a {!Stats.t} passed to {!create} is adopted, not
     copied, so passing one object to two sessions makes their counters
-    indistinguishable — give each session its own (as {!Pool} does). *)
+    indistinguishable — give each session its own (as {!par_attach}
+    does for its worker shards). *)
 
 val globals : t -> Globals.t
 
@@ -102,30 +103,3 @@ val par_shard_stats : t -> Stats.t option array
 (** The pool workers' per-shard counter blocks in slot order ([None]
     for a shard that has not started yet); meaningful only while no
     dispatch is in flight.  Empty when no pool is attached. *)
-
-(** Run [N] fully independent sessions over the same program, optionally
-    one per OCaml domain.  Shards share no mutable state (each has its
-    own machine, stats, globals, macros and output; the interned symbol
-    table is the one deliberate process-global, mutex-guarded in
-    {!Rt}), so per-shard results and counters are deterministic and
-    identical to a single sequential session running the same source —
-    the property benchmark e6.parallel and the CI smoke test assert. *)
-module Pool : sig
-  type shard = {
-    shard : int;  (** shard index, [0 .. jobs-1] *)
-    value : Rt.value;  (** the program's value on this shard *)
-    output : string;  (** its [display]/[write] output *)
-    stats : Stats.t;  (** its counters, reset after prelude/corpus load *)
-  }
-
-  val run :
-    ?backend:backend -> ?fuel:int -> ?corpus:bool -> ?optimize:bool ->
-    ?peephole:bool -> ?regalloc:bool -> ?verify:bool -> ?hygiene:bool ->
-    ?domains:bool -> jobs:int -> string -> shard list
-  (** Evaluate [src] on [jobs] fresh sessions and return the shards in
-      index order.  [domains] forces the execution mode: [true] spawns
-      one domain per shard, [false] runs them sequentially on the
-      calling domain; the default parallelizes iff [jobs > 1].
-      [corpus] preloads the benchmark definitions on each shard before
-      the counters are reset. *)
-end

@@ -2,7 +2,7 @@
    heap frame policies) must keep sessions fully independent: each
    Scheme.t owns its machine, stats, globals, macro tables, output
    buffer and (stack backend) segment cache, so interleaving sessions —
-   or running them on separate domains via Scheme.Pool — never lets one
+   or running them on separate OCaml domains — never lets one
    observe another.  These tests pin that property, plus the pieces the
    unification is allowed to share: the single fuel-exhaustion exception
    and the oracle's now-live counters. *)
@@ -102,49 +102,31 @@ let backends_agree () =
       Alcotest.(check string) ("oracle: " ^ src) vs (eval o src))
     progs
 
-let pool_src =
-  "(let loop ((i 0) (acc 0))\n\
-  \  (if (= i 60) acc\n\
-  \      (loop (+ i 1) (+ acc (%call/1cc (lambda (k) (k i)))))))"
-
-(* Pool shards are deterministic: every shard computes the same value
-   with identical counters, whether spawned on domains or run
-   sequentially on the calling domain. *)
-let pool_domains_vs_sequential () =
-  let par = Scheme.Pool.run ~domains:true ~jobs:3 pool_src in
-  let seq = Scheme.Pool.run ~domains:false ~jobs:3 pool_src in
-  Alcotest.(check int) "shards" 3 (List.length par);
-  List.iter2
-    (fun (p : Scheme.Pool.shard) (s : Scheme.Pool.shard) ->
-      Alcotest.(check int) "index" s.Scheme.Pool.shard p.Scheme.Pool.shard;
-      Alcotest.(check string) "value"
-        (Values.write_string s.Scheme.Pool.value)
-        (Values.write_string p.Scheme.Pool.value);
-      Alcotest.(check string) "output" s.Scheme.Pool.output
-        p.Scheme.Pool.output;
-      List.iter2
-        (fun (name, sv) (_, pv) -> Alcotest.(check int) name sv pv)
-        (Stats.to_rows s.Scheme.Pool.stats)
-        (Stats.to_rows p.Scheme.Pool.stats))
-    par seq
-
-(* Shard counters equal a lone session running the same source: sharding
-   adds no hidden work and shares no hidden state. *)
-let pool_matches_single_session () =
-  let stats = Stats.create () in
-  let t = Scheme.create ~stats () in
-  Stats.reset stats;
-  let v = Scheme.eval t pool_src in
+(* Sessions created and run on other domains count exactly what a lone
+   session on the calling domain counts: a domain adds no hidden work
+   and shares no hidden state. *)
+let domains_match_single_session () =
+  let run () =
+    let stats = Stats.create () in
+    let t = Scheme.create ~stats () in
+    Stats.reset stats;
+    let v =
+      Scheme.eval t
+        "(let loop ((i 0) (acc 0))\n\
+        \  (if (= i 60) acc\n\
+        \      (loop (+ i 1) (+ acc (%call/1cc (lambda (k) (k i)))))))"
+    in
+    (Values.write_string v, Stats.to_rows stats)
+  in
+  let v, single = run () in
   List.iter
-    (fun (sh : Scheme.Pool.shard) ->
-      Alcotest.(check string) "value" (Values.write_string v)
-        (Values.write_string sh.Scheme.Pool.value);
+    (fun d ->
+      let dv, rows = Domain.join d in
+      Alcotest.(check string) "value" v dv;
       List.iter2
-        (fun (name, single) (_, sharded) ->
-          Alcotest.(check int) name single sharded)
-        (Stats.to_rows stats)
-        (Stats.to_rows sh.Scheme.Pool.stats))
-    (Scheme.Pool.run ~domains:true ~jobs:2 pool_src)
+        (fun (name, one) (_, other) -> Alcotest.(check int) name one other)
+        single rows)
+    (List.init 2 (fun _ -> Domain.spawn run))
 
 let suite =
   [
@@ -156,8 +138,6 @@ let suite =
       fuel_exception_unified;
     Alcotest.test_case "backends agree via unified engine" `Quick
       backends_agree;
-    Alcotest.test_case "pool: domains = sequential" `Quick
-      pool_domains_vs_sequential;
-    Alcotest.test_case "pool: shard = single session" `Quick
-      pool_matches_single_session;
+    Alcotest.test_case "sessions on domains = single session" `Quick
+      domains_match_single_session;
   ]

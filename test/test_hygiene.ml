@@ -117,33 +117,44 @@ let distinct_macros_across_domains =
       Alcotest.(check string) "left domain" "(left . 1)" r1;
       Alcotest.(check string) "right domain" "(right . 1)" r2)
 
-(* Pool shards expand macros independently and deterministically: a
-   macro-heavy program run on parallel domains must produce the same
-   per-shard values and counters as the same program run sequentially. *)
-let pool_macro_identity =
-  case "pool shards: macros expand identically domains vs sequential"
-    (fun () ->
-      let src =
-        "(define-syntax sq (syntax-rules () ((_ x) (* x x))))\n\
-         (define-syntax sum2\n\
-        \  (syntax-rules () ((_ a b) (+ (sq a) (sq b)))))\n\
-         (sum2 (eval '(sq 3)) 4)"
+(* Par workers expand macros independently and deterministically: the
+   master defines two macros, and a task procedure that expands them at
+   run time through [eval] must produce the same values and per-shard
+   instruction counts on worker domains as on inline workers. *)
+let par_macro_identity =
+  case "par shards: macros expand identically domains vs inline" (fun () ->
+      let run ~domains =
+        let s = Scheme.create () in
+        Scheme.par_attach ~chunk:1 ~steal:false ~domains ~jobs:3 s;
+        Fun.protect
+          ~finally:(fun () -> Scheme.par_shutdown s)
+          (fun () ->
+            List.iter
+              (fun src -> ignore (Scheme.eval ~fuel:default_fuel s src))
+              [
+                "(define-syntax sq (syntax-rules () ((_ x) (* x x))))";
+                "(define-syntax sum2\n\
+                \  (syntax-rules () ((_ a b) (+ (sq a) (sq b)))))";
+                "(define (f x) (sum2 (eval (list 'sq x)) 4))";
+              ];
+            let v =
+              Scheme.eval_string ~fuel:default_fuel s
+                "(par-map f '(1 2 3 4 5 6))"
+            in
+            let instrs =
+              Array.to_list
+                (Array.map
+                   (function Some st -> Stats.get st "instrs" | None -> -1)
+                   (Scheme.par_shard_stats s))
+            in
+            (v, instrs))
       in
-      let shards ~domains =
-        List.map
-          (fun (sh : Scheme.Pool.shard) ->
-            ( sh.Scheme.Pool.shard,
-              Values.write_string sh.Scheme.Pool.value,
-              Stats.get sh.Scheme.Pool.stats "instrs" ))
-          (Scheme.Pool.run ~domains ~jobs:3 src)
-      in
-      let par = shards ~domains:true and seq = shards ~domains:false in
-      Alcotest.(check (list (triple int string int)))
-        "per-shard values and instruction counts" seq par;
-      List.iter
-        (fun (_, v, _) -> Alcotest.(check string) "value" "97" v)
-        par)
+      let v_dom, instrs_dom = run ~domains:true in
+      let v_seq, instrs_seq = run ~domains:false in
+      Alcotest.(check string) "value" "(17 32 97 272 641 1312)" v_seq;
+      Alcotest.(check string) "domains value" v_seq v_dom;
+      Alcotest.(check (list int)) "per-shard instrs" instrs_seq instrs_dom)
 
 let suite =
   swap_cases @ my_or_cases @ else_cases @ nesting_cases @ let_syntax_cases
-  @ [ distinct_macros_across_domains; pool_macro_identity ]
+  @ [ distinct_macros_across_domains; par_macro_identity ]

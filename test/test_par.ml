@@ -10,9 +10,10 @@ open Tutil
    shards inline on the calling domain — same sessions, same task
    order — which keeps most of the suite single-domain and fast;
    dedicated cases below exercise the real domain pool. *)
-let with_par ?(backend = Scheme.Stack Control.default_config) ?(jobs = 2)
-    ?(chunk = 2) ?(steal = true) ?(domains = false) ?(corpus = false) f =
-  let s = Scheme.create ~backend () in
+let with_par ?(backend = Scheme.Stack Control.default_config) ?hygiene
+    ?(jobs = 2) ?(chunk = 2) ?(steal = true) ?(domains = false)
+    ?(corpus = false) f =
+  let s = Scheme.create ~backend ?hygiene () in
   if corpus then Scheme.load_corpus s;
   Scheme.par_attach ~chunk ~steal ~domains ~corpus ~jobs s;
   Fun.protect ~finally:(fun () -> Scheme.par_shutdown s) (fun () -> f s)
@@ -155,6 +156,31 @@ let driver_cache_case (bname, backend) =
           Alcotest.(check string) "reassigned" "((1) (2))"
             (peval s "(par-map f '(1 2))")))
 
+(* Workers are built from the master's own settings: swap! in a task
+   procedure captures the use-site tmp on the workers exactly when it
+   does on the master. *)
+let hygiene_inherited_case hygiene =
+  case
+    (Printf.sprintf "workers inherit the master's hygiene [%s]"
+       (if hygiene then "on" else "off"))
+    (fun () ->
+      with_par ~hygiene (fun s ->
+          List.iter
+            (fun d -> ignore (peval s d))
+            [
+              "(define-syntax swap!\n\
+              \  (syntax-rules ()\n\
+              \    ((_ a b) (let ((tmp a)) (set! a b) (set! b tmp)))))";
+              "(define (f x)\n\
+              \  (let ((tmp x) (other 0)) (swap! tmp other) (list tmp other)))";
+            ];
+          let serial = peval s "(map f '(1 2))" in
+          Alcotest.(check string) "master"
+            (if hygiene then "((0 1) (0 2))" else "((1 0) (2 0))")
+            serial;
+          Alcotest.(check string) "workers" serial
+            (peval s "(par-map f '(1 2))")))
+
 (* Worker output is taken per chunk, not re-copied from the start of the
    worker's buffer, and still stitches back in chunk order. *)
 let output_order_case ?(domains = false) ~jobs () =
@@ -291,6 +317,8 @@ let suite =
       trim_identity_case;
       output_order_case ~jobs:3 ();
       output_order_case ~domains:true ~jobs:2 ();
+      hygiene_inherited_case true;
+      hygiene_inherited_case false;
     ]
   @ List.map driver_cache_case backends
   @ [

@@ -164,4 +164,30 @@ let cli_cases =
             stderr_lines))
     [ "stack"; "heap"; "oracle" ]
 
-let suite = alloc_cases @ expt_cases @ cli_cases @ sweep_cases
+(* --jobs only sizes the par worker pool: without --par-chunk it is a
+   usage error (exit 2, one line), never a silent no-op. *)
+let jobs_without_pool_case =
+  case "CLI: --jobs without --par-chunk is rejected" (fun () ->
+      let out = Filename.temp_file "schemer" ".out" in
+      let err = Filename.temp_file "schemer" ".err" in
+      let code =
+        Sys.command
+          (Printf.sprintf "%s --jobs 2 -e %s >%s 2>%s" (Filename.quote schemer)
+             (Filename.quote "(+ 1 2)") (Filename.quote out)
+             (Filename.quote err))
+      in
+      let stdout_lines = read_lines out and stderr_lines = read_lines err in
+      Sys.remove out;
+      Sys.remove err;
+      Alcotest.(check int) "exit code" 2 code;
+      Alcotest.(check (list string)) "stdout" [] stdout_lines;
+      Alcotest.(check (list string)) "stderr"
+        [
+          "schemer: --jobs 2 needs --par-chunk (--jobs sets the number of \
+           par workers)";
+        ]
+        stderr_lines)
+
+let suite =
+  alloc_cases @ expt_cases @ cli_cases @ [ jobs_without_pool_case ]
+  @ sweep_cases

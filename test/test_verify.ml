@@ -62,9 +62,9 @@ let accept_session_cases =
         (fun (cl, peephole, regalloc) ->
           case (Printf.sprintf "session verifies [%s, %s]" bl cl) (fun () ->
               let s =
-                Scheme.create ~backend ~corpus:true ~peephole ~regalloc
-                  ~verify:true ()
+                Scheme.create ~backend ~peephole ~regalloc ~verify:true ()
               in
+              Scheme.load_corpus s;
               let v =
                 Scheme.eval ~fuel:Tutil.default_fuel s
                   "(begin (fib 10) (tak 12 6 3))"
