@@ -65,15 +65,16 @@ let run_lint ~exprs ~files =
   if !count = 0 then 0 else 1
 
 let run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
-    ~expand_only ~optimize ~peephole ~regalloc ~verify ~hygiene ~par ~exprs
-    ~files ~interactive =
+    ~expand_only ~peephole ~regalloc ~verify ~hygiene ~par ~exprs ~files
+    ~interactive =
   let stats = Stats.create () in
   let s =
-    Scheme.create ~backend ~stats ~scheme_winders ~optimize ~peephole ~regalloc
-      ~verify ~hygiene ()
+    Scheme.create ~backend ~stats ~scheme_winders ~peephole ~regalloc ~verify
+      ~hygiene ()
   in
-  (* --expand keeps its own macro environment so a [define-syntax] in an
-     earlier file/-e chunk is visible to later ones, as in evaluation. *)
+  (* --expand and --disassemble keep their own macro environment so a
+     [define-syntax] in an earlier file/-e chunk is visible to later
+     ones, as in evaluation. *)
   let expand_menv = Macro.create_menv () in
   if corpus then Scheme.load_corpus s;
   (* --par-chunk attaches a data-parallel worker pool to this single
@@ -103,8 +104,8 @@ let run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
           if disassemble then
             List.iter
               (fun code -> print_string (Bytecode.disassemble_deep code))
-              (Compiler.compile_string ~optimize ~peephole ~regalloc ~verify
-                 ~hygiene (Scheme.globals s) src)
+              (Compiler.compile_string ~peephole ~regalloc ~verify ~hygiene
+                 ~menv:expand_menv (Scheme.globals s) src)
           else if expand_only then
             List.iter
               (fun d ->
@@ -216,8 +217,8 @@ let capture_conv =
 
 let main backend_kind seg_words copy_bound overflow hysteresis seal_disp
     no_cache promotion capture scheme_winders corpus stats_flag disassemble
-    expand_only no_hygiene optimize no_peephole no_regalloc verify lint jobs
-    sequential par_chunk no_steal exprs files =
+    expand_only no_hygiene no_peephole no_regalloc verify lint jobs sequential
+    par_chunk no_steal exprs files =
   let config =
     {
       Control.default_config with
@@ -254,8 +255,8 @@ let main backend_kind seg_words copy_bound overflow hysteresis seal_disp
       2
   | Some chunk ->
       run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
-        ~expand_only ~optimize ~peephole:(not no_peephole)
-        ~regalloc:(not no_regalloc) ~verify ~hygiene
+        ~expand_only ~peephole:(not no_peephole) ~regalloc:(not no_regalloc)
+        ~verify ~hygiene
         ~par:(Some (chunk, not no_steal, not sequential, jobs))
         ~exprs ~files ~interactive
   | None when jobs > 1 ->
@@ -269,7 +270,7 @@ let main backend_kind seg_words copy_bound overflow hysteresis seal_disp
       2
   | None ->
       run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
-        ~expand_only ~optimize ~peephole:(not no_peephole)
+        ~expand_only ~peephole:(not no_peephole)
         ~regalloc:(not no_regalloc) ~verify ~hygiene ~par:None ~exprs ~files
         ~interactive
 
@@ -382,14 +383,6 @@ let cmd =
              identifiers get no fresh marks), reproducing the historical \
              textual expansion; for differential testing.")
   in
-  let optimize =
-    Arg.(
-      value & flag
-      & info [ "optimize" ]
-          ~doc:
-            "Enable the AST optimizer (constant folding; assumes standard \
-             bindings).")
-  in
   let no_peephole =
     Arg.(
       value & flag
@@ -414,7 +407,7 @@ let cmd =
           ~doc:
             "Run the static bytecode verifier over every compiled code \
              object (abstract-interpretation initialization checks plus the \
-             optimizer's structural fusion contracts); abort with a \
+             peephole pass's structural fusion contracts); abort with a \
              diagnostic on any violation.")
   in
   let lint =
@@ -479,9 +472,9 @@ let cmd =
     Term.(
       const main $ backend $ seg_words $ copy_bound $ overflow $ hysteresis
       $ seal_disp $ no_cache $ promotion $ capture $ scheme_winders $ corpus
-      $ stats_flag $ disassemble $ expand_only $ no_hygiene $ optimize
-      $ no_peephole $ no_regalloc $ verify $ lint $ jobs $ sequential
-      $ par_chunk $ no_steal $ exprs $ files)
+      $ stats_flag $ disassemble $ expand_only $ no_hygiene $ no_peephole
+      $ no_regalloc $ verify $ lint $ jobs $ sequential $ par_chunk $ no_steal
+      $ exprs $ files)
   in
   Cmd.v
     (Cmd.info "schemer" ~version:"1.0"

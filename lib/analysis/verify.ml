@@ -2,7 +2,7 @@ open Rt
 
 (* Static bytecode verifier: a forward abstract interpreter over
    [Rt.instr] arrays plus a structural contract checker for the
-   optimizer's fused superinstructions.
+   peephole pass's fused superinstructions.
 
    The abstract domain per pc is (accumulator defined?, must-initialized
    frame-slot bitmap).  Both components only shrink at join points

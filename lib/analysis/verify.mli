@@ -1,7 +1,7 @@
 (** Static bytecode verifier (DESIGN.md §16).
 
     A forward abstract interpreter over [Rt.instr] arrays, plus a
-    structural scan checking the optimizer's fusion contracts.  The
+    structural scan checking the peephole pass's fusion contracts.  The
     abstract state per pc is (accumulator defined?, must-initialized
     frame-slot bitmap bounded by [frame_words]); branch join points take
     the pointwise AND, so every check holds on all paths.

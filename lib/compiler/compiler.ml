@@ -366,23 +366,20 @@ let compile_eval ?hygiene ?menv globals (datum : Rt.value) : Rt.code =
       Bytecode.make_code ~name:"eval" ~arity:(Rt.Exactly 0) ~frame_words:(d + 3)
         (Array.of_list (List.rev !instrs))
 
-(* The shared back half of the pipeline: optimize, compile, fuse,
-   verify.  [compile_string] and [compile_datum] differ only in how the
-   expanded tops are obtained. *)
-let compile_tops ?(optimize = false) ?(peephole = true) ?(regalloc = true)
-    ?(verify = false) globals tops =
-  let tops = if optimize then Optimize.program tops else tops in
+(* The shared back half of the pipeline: compile, fuse, verify.
+   [compile_string] and [compile_datum] differ only in how the expanded
+   tops are obtained. *)
+let compile_tops ?(peephole = true) ?(regalloc = true) ?(verify = false)
+    globals tops =
   let codes = compile_program globals tops in
   let codes = if peephole then Optimize.peephole_program ~regalloc globals codes else codes in
   if verify then Verify.verify_program codes;
   codes
 
-let compile_string ?optimize ?peephole ?regalloc ?verify ?hygiene ?menv
-    globals src =
-  compile_tops ?optimize ?peephole ?regalloc ?verify globals
+let compile_string ?peephole ?regalloc ?verify ?hygiene ?menv globals src =
+  compile_tops ?peephole ?regalloc ?verify globals
     (Expander.expand_string ?hygiene ?menv src)
 
-let compile_datum ?optimize ?peephole ?regalloc ?verify ?hygiene ?menv
-    globals datum =
-  compile_tops ?optimize ?peephole ?regalloc ?verify globals
+let compile_datum ?peephole ?regalloc ?verify ?hygiene ?menv globals datum =
+  compile_tops ?peephole ?regalloc ?verify globals
     (Expander.expand_tops ?hygiene ?menv datum)

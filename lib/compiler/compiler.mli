@@ -27,7 +27,6 @@ val compile_top : Globals.t -> Ast.top -> Rt.code
 val compile_program : Globals.t -> Ast.top list -> Rt.code list
 
 val compile_string :
-  ?optimize:bool ->
   ?peephole:bool ->
   ?regalloc:bool ->
   ?verify:bool ->
@@ -36,12 +35,10 @@ val compile_string :
   Globals.t ->
   string ->
   Rt.code list
-(** Read, expand, (optionally) optimize, and compile a whole program.
+(** Read, expand, and compile a whole program.
 
-    [optimize] (default [false]) runs the AST-level constant folder,
-    which assumes standard bindings and can change the meaning of
-    programs that [set!] folded primitives.  [peephole] (default [true])
-    runs the always-sound bytecode fusion pass ({!Optimize.peephole});
+    [peephole] (default [true]) runs the always-sound bytecode fusion
+    pass ({!Optimize.peephole});
     pass [~peephole:false] to see (or execute) the unfused bytecode.
     [regalloc] (default [true]) controls the register-lowering stage of
     that pass (operand-addressed [Prim_*_op]/[Return_op] forms); pass
@@ -54,7 +51,6 @@ val compile_string :
     (see {!Expander}). *)
 
 val compile_datum :
-  ?optimize:bool ->
   ?peephole:bool ->
   ?regalloc:bool ->
   ?verify:bool ->

@@ -1,145 +1,3 @@
-open Rt
-
-(* Folders for the standard primitives: given fully constant arguments,
-   return the folded value, or None when the fold does not apply (wrong
-   types, arity, division by zero, overflow risk...).  Only immutable
-   results may be produced: folding must never share fresh mutable
-   structure between program points. *)
-
-let num2 f args =
-  match args with
-  | [ Int a; Int b ] -> f a b
-  | _ -> None
-
-let arith fi =
-  fun args ->
-    let rec go acc = function
-      | [] -> Some (Int acc)
-      | Int n :: rest -> go (fi acc n) rest
-      | _ -> None
-    in
-    match args with Int n :: rest -> go n rest | _ -> None
-
-let cmp op args =
-  let rec go = function
-    | Int a :: (Int b :: _ as rest) ->
-        if op (compare a b) 0 then go rest else Some (Bool false)
-    | [ Int _ ] -> Some (Bool true)
-    | _ -> None
-  in
-  match args with _ :: _ :: _ -> go args | _ -> None
-
-let folders : (string * (value list -> value option)) list =
-  [
-    ("+", arith ( + ));
-    ("-", fun args -> (match args with [ Int n ] -> Some (Int (-n)) | _ -> arith ( - ) args));
-    ("*", arith ( * ));
-    ("quotient", num2 (fun a b -> if b = 0 then None else Some (Int (a / b))));
-    ("remainder", num2 (fun a b -> if b = 0 then None else Some (Int (Int.rem a b))));
-    ("=", cmp ( = ));
-    ("<", cmp ( < ));
-    (">", cmp ( > ));
-    ("<=", cmp ( <= ));
-    (">=", cmp ( >= ));
-    ("abs", fun args -> (match args with [ Int n ] -> Some (Int (abs n)) | _ -> None));
-    ("zero?", fun args -> (match args with [ Int n ] -> Some (Bool (n = 0)) | _ -> None));
-    ("not", fun args ->
-        match args with [ v ] -> Some (Bool (not (Values.is_truthy v))) | _ -> None);
-    ("null?", fun args -> (match args with [ Nil ] -> Some (Bool true) | [ (Int _ | Bool _ | Sym _ | Char _) ] -> Some (Bool false) | _ -> None));
-    ("eq?", fun args ->
-        match args with
-        | [ a; b ] -> (
-            (* only immediates compare stably at fold time *)
-            match (a, b) with
-            | (Int _ | Bool _ | Sym _ | Char _ | Nil), _ ->
-                Some (Bool (Values.eq a b))
-            | _ -> None)
-        | _ -> None);
-    ("car", fun args -> (match args with [ Pair p ] -> Some p.car | _ -> None));
-    ("cdr", fun args -> (match args with [ Pair p ] -> Some p.cdr | _ -> None));
-    ("length", fun args ->
-        match args with
-        | [ l ] -> (
-            match Values.list_of_value_opt l with
-            | Some items -> Some (Int (List.length items))
-            | None -> None)
-        | _ -> None);
-  ]
-
-(* An expression whose evaluation has no effect and cannot fail: safe to
-   drop in non-final begin position. *)
-let rec effect_free (e : Ast.t) =
-  match e with
-  | Ast.Quote _ | Ast.Lambda _ -> true
-  | Ast.Var _ -> false (* may be unbound: keep the error *)
-  | Ast.If (a, b, c) -> effect_free a && effect_free b && effect_free c
-  | Ast.Begin es -> List.for_all effect_free es
-  | Ast.App _ | Ast.Set _ -> false
-
-(* [bound] tracks lexically bound names: a shadowed primitive name must
-   not be folded. *)
-let rec opt bound (e : Ast.t) : Ast.t =
-  match e with
-  | Ast.Quote _ | Ast.Var _ -> e
-  | Ast.Set (x, rhs) -> Ast.Set (x, opt bound rhs)
-  | Ast.Lambda l ->
-      let bound' =
-        l.Ast.params
-        @ (match l.Ast.rest with Some r -> [ r ] | None -> [])
-        @ bound
-      in
-      Ast.Lambda { l with body = opt bound' l.body }
-  | Ast.If (t, c, a) -> (
-      let t = opt bound t in
-      match t with
-      | Ast.Quote v ->
-          if Values.is_truthy v then opt bound c else opt bound a
-      | t -> Ast.If (t, opt bound c, opt bound a))
-  | Ast.Begin es ->
-      let es = List.concat_map flatten es in
-      let rec prune = function
-        | [] -> []
-        | [ last ] -> [ opt bound last ]
-        | x :: rest ->
-            let x = opt bound x in
-            if effect_free x then prune rest else x :: prune rest
-      in
-      (match prune es with
-      | [] -> Ast.Quote Void
-      | [ one ] -> one
-      | es -> Ast.Begin es)
-  | Ast.App (f, args) -> (
-      let f = opt bound f in
-      let args = List.map (opt bound) args in
-      match f with
-      | Ast.Var name when not (List.mem name bound) -> (
-          (* A lexically unbound name is a global reference under its
-             source name, marks stripped — including macro-introduced
-             references to folded primitives. *)
-          match List.assoc_opt (Macro.strip_marks name) folders with
-          | Some folder -> (
-              let consts =
-                List.map (function Ast.Quote v -> Some v | _ -> None) args
-              in
-              if List.for_all Option.is_some consts then
-                match folder (List.map Option.get consts) with
-                | Some v -> Ast.Quote v
-                | None -> Ast.App (f, args)
-              else Ast.App (f, args))
-          | None -> Ast.App (f, args))
-      | _ -> Ast.App (f, args))
-
-and flatten (e : Ast.t) =
-  match e with Ast.Begin es -> List.concat_map flatten es | e -> [ e ]
-
-let expr e = opt [] e
-
-let top = function
-  | Ast.Expr (e, p) -> Ast.Expr (expr e, p)
-  | Ast.Define (x, e, p) -> Ast.Define (x, expr e, p)
-
-let program tops = List.map top tops
-
 (* ------------------------------------------------------------------ *)
 (* Bytecode peephole: superinstruction fusion                          *)
 (* ------------------------------------------------------------------ *)

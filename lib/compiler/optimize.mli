@@ -1,25 +1,8 @@
-(** Optional AST-level optimizer (off by default).
+(** Bytecode peephole pass.
 
-    Performs constant folding of the standard arithmetic/comparison/list
-    primitives, branch pruning of constant [if] tests, flattening of
-    nested [begin]s, and elimination of effect-free expressions in
-    non-final [begin] positions.
-
-    Folding assumes the standard bindings of the folded primitives are
-    never assigned ([set!] on [+] etc.); enabling the optimizer on a
-    program that redefines them changes its meaning, exactly as with
-    "assume standard bindings" switches in production Scheme compilers. *)
-
-val expr : Ast.t -> Ast.t
-val top : Ast.top -> Ast.top
-val program : Ast.top list -> Ast.top list
-
-(** {1 Bytecode peephole pass}
-
-    Unlike the AST folder above, the peephole stage is sound by
-    construction and is applied by default ([Compiler.compile_string
-    ~peephole:true]).  It performs two fusions over compiled [instrs]
-    arrays:
+    The peephole stage is sound by construction and is applied by
+    default ([Compiler.compile_string ~peephole:true]).  It performs two
+    fusions over compiled [instrs] arrays:
 
     - push fusion: a value-producing instruction immediately followed by
       [Local_set] becomes a single [*_push] superinstruction that writes

@@ -715,15 +715,3 @@ let run ?(fuel = -1) (vm : Policy.t) code =
 
 let run_program ?fuel (vm : Policy.t) codes =
   List.fold_left (fun _ code -> run ?fuel vm code) Void codes
-
-let eval ?fuel ?optimize ?peephole ?regalloc ?verify (vm : Policy.t) src =
-  run_program ?fuel vm
-    (Compiler.compile_string ?optimize ?peephole ?regalloc ?verify
-       ~hygiene:vm.hygiene ~menv:vm.menv vm.globals src)
-
-(* Per-form entry point: one already-read top-level datum, so drivers
-   can attribute failures to the datum's source position. *)
-let eval_datum ?fuel ?optimize ?peephole ?regalloc ?verify (vm : Policy.t) d =
-  run_program ?fuel vm
-    (Compiler.compile_datum ?optimize ?peephole ?regalloc ?verify
-       ~hygiene:vm.hygiene ~menv:vm.menv vm.globals d)

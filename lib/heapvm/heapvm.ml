@@ -13,5 +13,3 @@ let globals = Engine.globals
 let output = Engine.output
 let run = Heap_core.run
 let run_program = Heap_core.run_program
-let eval = Heap_core.eval
-let eval_datum = Heap_core.eval_datum

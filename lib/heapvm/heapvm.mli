@@ -30,26 +30,4 @@ val globals : t -> Globals.t
 val run : ?fuel:int -> t -> Rt.code -> Rt.value
 val run_program : ?fuel:int -> t -> Rt.code list -> Rt.value
 
-val eval :
-  ?fuel:int ->
-  ?optimize:bool ->
-  ?peephole:bool ->
-  ?regalloc:bool ->
-  ?verify:bool ->
-  t ->
-  string ->
-  Rt.value
-
-val eval_datum :
-  ?fuel:int ->
-  ?optimize:bool ->
-  ?peephole:bool ->
-  ?regalloc:bool ->
-  ?verify:bool ->
-  t ->
-  Sexp.t ->
-  Rt.value
-(** Like {!eval} for one already-read top-level datum, so a driver can
-    attribute failures to the datum's source position. *)
-
 val output : t -> string

@@ -11,9 +11,9 @@
    prelude is per-session any more.
 
    This module therefore builds the prelude once per configuration
-   key — (scheme_winders, optimize, peephole, regalloc), the four
-   switches that change the compiled stream — on a throwaway
-   stack-backend machine with disabled stats, verifies the result
+   key — (scheme_winders, peephole, regalloc), the three switches that
+   change the compiled stream — on a throwaway stack-backend machine
+   with disabled stats, verifies the result
    ({!Bytecode.validate} at construction, {!Verify} over the fused
    stream), executes it once, and snapshots the *global-slot delta*:
    the (slot, value) pairs the prelude execution defined.  A session
@@ -35,13 +35,13 @@ type t = {
   delta : (int * Rt.value) array; (* slots the prelude execution defined *)
 }
 
-type key = { k_winders : bool; k_opt : bool; k_peep : bool; k_reg : bool }
+type key = { k_winders : bool; k_peep : bool; k_reg : bool }
 
 let lock = Mutex.create ()
 let cache : (key, t) Hashtbl.t = Hashtbl.create 8
 let built = ref 0
 
-let build { k_winders; k_opt; k_peep; k_reg } =
+let build { k_winders; k_peep; k_reg } =
   let stats = Stats.create ~enabled:false () in
   let vm = Vm.create ~stats () in
   let g = Vm.globals vm in
@@ -53,8 +53,8 @@ let build { k_winders; k_opt; k_peep; k_reg } =
   let before_len = Array.length before in
   let menv = Macro.create_menv () in
   let compile src =
-    Compiler.compile_string ~optimize:k_opt ~peephole:k_peep ~regalloc:k_reg
-      ~verify:true ~menv g src
+    Compiler.compile_string ~peephole:k_peep ~regalloc:k_reg ~verify:true
+      ~menv g src
   in
   let codes =
     compile
@@ -77,13 +77,10 @@ let build { k_winders; k_opt; k_peep; k_reg } =
   { delta = Array.of_list (List.rev !delta) }
 
 let get ~scheme_winders ~optimize ~peephole ~regalloc =
+  if optimize then
+    invalid_arg "Prelude_image.get: the AST optimizer has been removed";
   let key =
-    {
-      k_winders = scheme_winders;
-      k_opt = optimize;
-      k_peep = peephole;
-      k_reg = regalloc;
-    }
+    { k_winders = scheme_winders; k_peep = peephole; k_reg = regalloc }
   in
   Mutex.lock lock;
   let img =

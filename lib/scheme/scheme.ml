@@ -30,7 +30,6 @@ type t = {
   which : backend;
   machine : machine;
   stats : Stats.t;
-  optimize : bool;
   peephole : bool;
   regalloc : bool;
   verify : bool;
@@ -78,15 +77,27 @@ and parworker = {
       (* compiled chunk drivers by source text; emptied by replay *)
 }
 
+(* The one place a session compiles: its peephole/regalloc/verify
+   settings over the machine's hygiene switch, macro environment and
+   global table.  [`Text] is a whole program, [`Datum] one
+   already-read top-level form. *)
+let compile t (vm : _ Engine.vm) src =
+  let peephole = t.peephole and regalloc = t.regalloc and verify = t.verify in
+  let hygiene = vm.Engine.hygiene and menv = vm.Engine.menv in
+  match src with
+  | `Text text ->
+      Compiler.compile_string ~peephole ~regalloc ~verify ~hygiene ~menv
+        vm.Engine.globals text
+  | `Datum d ->
+      Compiler.compile_datum ~peephole ~regalloc ~verify ~hygiene ~menv
+        vm.Engine.globals d
+
 let eval_machine ?fuel t src =
-  match t.machine with
-  | M_stack vm ->
-      Vm.eval ?fuel ~optimize:t.optimize ~peephole:t.peephole
-        ~regalloc:t.regalloc ~verify:t.verify vm src
-  | M_heap vm ->
-      Heapvm.eval ?fuel ~optimize:t.optimize ~peephole:t.peephole
-        ~regalloc:t.regalloc ~verify:t.verify vm src
-  | M_oracle o -> Oracle.eval ?fuel o src
+  match (t.machine, src) with
+  | M_stack vm, _ -> Vm.run_program ?fuel vm (compile t vm src)
+  | M_heap vm, _ -> Heapvm.run_program ?fuel vm (compile t vm src)
+  | M_oracle o, `Text text -> Oracle.eval ?fuel o text
+  | M_oracle o, `Datum d -> Oracle.eval_datum ?fuel o d
 
 let machine_globals = function
   | M_stack vm -> Vm.globals vm
@@ -94,8 +105,8 @@ let machine_globals = function
   | M_oracle o -> Oracle.globals o
 
 let create ?(backend = Stack Control.default_config) ?stats
-    ?(scheme_winders = false) ?(optimize = false) ?(peephole = true)
-    ?(regalloc = true) ?(verify = false) ?(hygiene = true) () =
+    ?(scheme_winders = false) ?(peephole = true) ?(regalloc = true)
+    ?(verify = false) ?(hygiene = true) () =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let machine =
     match backend with
@@ -108,8 +119,8 @@ let create ?(backend = Stack Control.default_config) ?stats
   | M_heap vm -> vm.Engine.hygiene <- hygiene
   | M_oracle o -> Oracle.set_hygiene o hygiene);
   let t =
-    { which = backend; machine; stats; optimize; peephole; regalloc; verify;
-      hygiene; par = None }
+    { which = backend; machine; stats; peephole; regalloc; verify; hygiene;
+      par = None }
   in
   (match machine with
   | M_oracle _ ->
@@ -117,16 +128,17 @@ let create ?(backend = Stack Control.default_config) ?stats
          [Ofun]s, so it cannot consume the bytecode image. *)
       ignore
         (eval_machine t
-           (if scheme_winders then Prelude.source_scheme_winders
-            else Prelude.source));
-      ignore (eval_machine t Parprelude.source)
+           (`Text
+             (if scheme_winders then Prelude.source_scheme_winders
+              else Prelude.source)));
+      ignore (eval_machine t (`Text Parprelude.source))
   | M_stack _ | M_heap _ ->
       (* Compile-once shared prelude: copy the image's global-slot
          delta instead of re-expanding/re-compiling/re-executing the
          sources — the session dispatches zero instructions before
          its first user form (pinned in test_perf_counters). *)
       Prelude_image.install
-        (Prelude_image.get ~scheme_winders ~optimize ~peephole ~regalloc)
+        (Prelude_image.get ~scheme_winders ~optimize:false ~peephole ~regalloc)
         (machine_globals machine));
   t
 
@@ -154,7 +166,7 @@ let par_log_worthy src =
   | exception _ -> true (* conservative: replay what we cannot classify *)
 
 let eval ?fuel t src =
-  let v = eval_machine ?fuel t src in
+  let v = eval_machine ?fuel t (`Text src) in
   (match t.par with
   | Some pool when par_log_worthy src ->
       Mutex.lock pool.p_lock;
@@ -171,16 +183,7 @@ let eval_string ?fuel t src = Values.write_string (eval ?fuel t src)
    replay log stores the datum re-rendered as text (positions are
    irrelevant to replay). *)
 let eval_datum ?fuel t d =
-  let v =
-    match t.machine with
-    | M_stack vm ->
-        Vm.eval_datum ?fuel ~optimize:t.optimize ~peephole:t.peephole
-          ~regalloc:t.regalloc ~verify:t.verify vm d
-    | M_heap vm ->
-        Heapvm.eval_datum ?fuel ~optimize:t.optimize ~peephole:t.peephole
-          ~regalloc:t.regalloc ~verify:t.verify vm d
-    | M_oracle o -> Oracle.eval_datum ?fuel o d
-  in
+  let v = eval_machine ?fuel t (`Datum d) in
   (match t.par with
   | Some pool when par_binding_form d ->
       Mutex.lock pool.p_lock;
@@ -191,9 +194,9 @@ let eval_datum ?fuel t d =
   v
 
 let load_corpus t =
-  ignore (eval_machine t Programs.all_defs);
-  ignore (eval_machine t Threads.scheduler);
-  ignore (eval_machine t Cml.source)
+  ignore (eval_machine t (`Text Programs.all_defs));
+  ignore (eval_machine t (`Text Threads.scheduler));
+  ignore (eval_machine t (`Text Cml.source))
 
 let output t =
   match t.machine with
@@ -224,9 +227,9 @@ let par_worker_session master pool i =
     match master.which with Oracle -> Stack Control.default_config | b -> b
   in
   let s =
-    create ~backend ~stats ~optimize:master.optimize
-      ~peephole:master.peephole ~regalloc:master.regalloc
-      ~verify:master.verify ~hygiene:master.hygiene ()
+    create ~backend ~stats ~peephole:master.peephole
+      ~regalloc:master.regalloc ~verify:master.verify ~hygiene:master.hygiene
+      ()
   in
   if pool.p_corpus then load_corpus s;
   Stats.reset stats;
@@ -271,21 +274,17 @@ let par_replay pool w =
    oracle has no bytecode and evaluates the text. *)
 let par_run_driver pool w src =
   let s = w.w_session in
-  let compile (vm : _ Engine.vm) =
+  let driver (vm : _ Engine.vm) =
     match Hashtbl.find_opt w.w_drivers src with
     | Some codes -> codes
     | None ->
-        let codes =
-          Compiler.compile_string ~optimize:s.optimize ~peephole:s.peephole
-            ~regalloc:s.regalloc ~verify:s.verify ~hygiene:vm.Engine.hygiene
-            ~menv:vm.Engine.menv vm.Engine.globals src
-        in
+        let codes = compile s vm (`Text src) in
         Hashtbl.replace w.w_drivers src codes;
         codes
   in
   match s.machine with
-  | M_stack vm -> Vm.run_program ?fuel:pool.p_fuel vm (compile vm)
-  | M_heap vm -> Heapvm.run_program ?fuel:pool.p_fuel vm (compile vm)
+  | M_stack vm -> Vm.run_program ?fuel:pool.p_fuel vm (driver vm)
+  | M_heap vm -> Heapvm.run_program ?fuel:pool.p_fuel vm (driver vm)
   | M_oracle _ -> eval ?fuel:pool.p_fuel s src
 
 (* Run one chunk on a worker session.  The per-chunk discipline exists

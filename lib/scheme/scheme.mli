@@ -17,14 +17,14 @@ type t
 
 val create :
   ?backend:backend -> ?stats:Stats.t -> ?scheme_winders:bool ->
-  ?optimize:bool -> ?peephole:bool -> ?regalloc:bool -> ?verify:bool ->
-  ?hygiene:bool -> unit -> t
+  ?peephole:bool -> ?regalloc:bool -> ?verify:bool -> ?hygiene:bool ->
+  unit -> t
 (** Defaults: [Stack Control.default_config], prelude loaded with the
     native winder protocol ([?scheme_winders:true] loads the historical
     Scheme-level [%winders] implementation instead, for differential
-    testing), AST optimizer off (see {!Optimize}), bytecode peephole
-    fusion on ([?peephole:false] executes the unfused bytecode, e.g. for
-    differential testing), and its register-lowering stage on
+    testing), bytecode peephole fusion on ([?peephole:false] executes
+    the unfused bytecode, e.g. for differential testing), and its
+    register-lowering stage on
     ([?regalloc:false] keeps the push-based encoding while retaining the
     other fusions).  The benchmark corpus is not loaded; call
     {!load_corpus} for it.  [?verify:true] runs the {!Verify} static
@@ -33,8 +33,8 @@ val create :
     invariant.  [?hygiene:false] turns off the expander's hygienic
     [syntax-rules] renaming (see {!Expander}), reproducing the
     historical textual expansion.  Worker shards of an attached par pool
-    are built with this session's [optimize], [peephole], [regalloc],
-    [verify] and [hygiene] settings. *)
+    are built with this session's [peephole], [regalloc], [verify] and
+    [hygiene] settings. *)
 
 val backend : t -> backend
 val eval : ?fuel:int -> t -> string -> Rt.value

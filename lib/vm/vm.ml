@@ -14,5 +14,3 @@ let globals = Engine.globals
 let output = Engine.output
 let run = Vm_core.run
 let run_program = Vm_core.run_program
-let eval = Vm_core.eval
-let eval_datum = Vm_core.eval_datum

@@ -37,31 +37,5 @@ val run : ?fuel:int -> t -> Rt.code -> Rt.value
 val run_program : ?fuel:int -> t -> Rt.code list -> Rt.value
 (** Run a compiled program form by form; the last form's value. *)
 
-val eval :
-  ?fuel:int ->
-  ?optimize:bool ->
-  ?peephole:bool ->
-  ?regalloc:bool ->
-  ?verify:bool ->
-  t ->
-  string ->
-  Rt.value
-(** Read, expand, compile, and run source text.  [peephole] (default
-    [true]) controls the bytecode fusion pass; [regalloc] (default
-    [true]) its register-lowering stage; [optimize] (default [false])
-    the AST-level constant folder. *)
-
-val eval_datum :
-  ?fuel:int ->
-  ?optimize:bool ->
-  ?peephole:bool ->
-  ?regalloc:bool ->
-  ?verify:bool ->
-  t ->
-  Sexp.t ->
-  Rt.value
-(** Like {!eval} for one already-read top-level datum, so a driver can
-    attribute failures to the datum's source position. *)
-
 val output : t -> string
 (** Text emitted by [display]/[write]/[newline] so far. *)

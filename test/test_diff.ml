@@ -137,9 +137,6 @@ let sessions =
                 Tutil.tiny_config with
                 Control.oneshot_seal = Control.Seal_displacement 48;
               }) );
-       ( "stack-optimized",
-         Scheme.create ~backend:(Scheme.Stack Control.default_config)
-           ~optimize:true () );
        ( "stack-noopt",
          (* unfused bytecode: differential witness for the peephole pass *)
          Scheme.create ~backend:(Scheme.Stack Control.default_config)

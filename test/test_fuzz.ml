@@ -1,5 +1,5 @@
 (* Property fuzzer for the static verifier: random small programs are
-   compiled under every optimizer-stage combination, the verifier must
+   compiled under every peephole-stage combination, the verifier must
    accept every resulting code object, and every bytecode backend must
    agree on the program's result when run with verification enabled.
 

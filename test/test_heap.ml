@@ -6,8 +6,12 @@ let case = Tutil.case
 let run src =
   let stats = Stats.create () in
   let vm = Heapvm.create ~stats () in
-  ignore (Heapvm.eval ~fuel:Tutil.default_fuel vm Prelude.source);
-  let v = Values.write_string (Heapvm.eval ~fuel:Tutil.default_fuel vm src) in
+  let eval src =
+    Heapvm.run_program ~fuel:Tutil.default_fuel vm
+      (Compiler.compile_string ~menv:vm.Engine.menv (Heapvm.globals vm) src)
+  in
+  ignore (eval Prelude.source);
+  let v = Values.write_string (eval src) in
   (v, stats)
 
 let suite =

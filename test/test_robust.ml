@@ -6,7 +6,9 @@
 
    Also here: the allocation-size and fixnum-overflow restrictions that
    turn such host failures into diagnostics, checked on every backend
-   and, for the allocation case, end to end through the CLI. *)
+   and, for the allocation case, end to end through the CLI.  More
+   CLI cases pin usage behaviour: [--jobs] without a pool, and
+   [--disassemble] and a rebound primitive across -e chunks. *)
 
 open Tutil
 
@@ -140,23 +142,31 @@ let read_lines path =
   in
   go []
 
+(* Run schemer with the (already quoted) [args]: exit code, stdout and
+   stderr lines. *)
+let run_schemer args =
+  let out = Filename.temp_file "schemer" ".out" in
+  let err = Filename.temp_file "schemer" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s >%s 2>%s" (Filename.quote schemer) args
+         (Filename.quote out) (Filename.quote err))
+  in
+  let stdout_lines = read_lines out and stderr_lines = read_lines err in
+  Sys.remove out;
+  Sys.remove err;
+  (code, stdout_lines, stderr_lines)
+
 let cli_cases =
   List.map
     (fun backend ->
       case (Printf.sprintf "CLI: make-vector huge size [%s]" backend)
         (fun () ->
-          let out = Filename.temp_file "schemer" ".out" in
-          let err = Filename.temp_file "schemer" ".err" in
-          let code =
-            Sys.command
-              (Printf.sprintf "%s --backend %s -e %s >%s 2>%s"
-                 (Filename.quote schemer) backend
-                 (Filename.quote "(make-vector 100000000000 0)")
-                 (Filename.quote out) (Filename.quote err))
+          let code, stdout_lines, stderr_lines =
+            run_schemer
+              (Printf.sprintf "--backend %s -e %s" backend
+                 (Filename.quote "(make-vector 100000000000 0)"))
           in
-          let stdout_lines = read_lines out and stderr_lines = read_lines err in
-          Sys.remove out;
-          Sys.remove err;
           Alcotest.(check int) "exit code" 1 code;
           Alcotest.(check (list string)) "stdout" [] stdout_lines;
           Alcotest.(check (list string)) "stderr"
@@ -168,17 +178,9 @@ let cli_cases =
    usage error (exit 2, one line), never a silent no-op. *)
 let jobs_without_pool_case =
   case "CLI: --jobs without --par-chunk is rejected" (fun () ->
-      let out = Filename.temp_file "schemer" ".out" in
-      let err = Filename.temp_file "schemer" ".err" in
-      let code =
-        Sys.command
-          (Printf.sprintf "%s --jobs 2 -e %s >%s 2>%s" (Filename.quote schemer)
-             (Filename.quote "(+ 1 2)") (Filename.quote out)
-             (Filename.quote err))
+      let code, stdout_lines, stderr_lines =
+        run_schemer (Printf.sprintf "--jobs 2 -e %s" (Filename.quote "(+ 1 2)"))
       in
-      let stdout_lines = read_lines out and stderr_lines = read_lines err in
-      Sys.remove out;
-      Sys.remove err;
       Alcotest.(check int) "exit code" 2 code;
       Alcotest.(check (list string)) "stdout" [] stdout_lines;
       Alcotest.(check (list string)) "stderr"
@@ -188,6 +190,46 @@ let jobs_without_pool_case =
         ]
         stderr_lines)
 
+(* --disassemble compiles each -e chunk against the macros of the
+   earlier ones, as evaluation does: the [sq] use expands to a fused
+   [*] call, not a call of an unbound global [sq]. *)
+let disassemble_across_chunks_case =
+  case "CLI: --disassemble sees macros of earlier chunks" (fun () ->
+      let code, stdout_lines, _ =
+        run_schemer
+          (Printf.sprintf "--disassemble -e %s -e %s"
+             (Filename.quote
+                "(define-syntax sq (syntax-rules () ((_ x) (* x x))))")
+             (Filename.quote "(sq 3)"))
+      in
+      let out = String.concat "\n" stdout_lines in
+      Alcotest.(check int) "exit code" 0 code;
+      Alcotest.(check bool) "fused * call" true
+        (contains ~sub:"prim-tail-call *" out);
+      Alcotest.(check bool) "no call of global sq" false
+        (contains ~sub:"global-push sq" out))
+
+(* A later -e chunk's all-constant call reaches a primitive that an
+   earlier chunk rebound with set!. *)
+let set_primitive_across_chunks_cases =
+  List.map
+    (fun backend ->
+      case
+        (Printf.sprintf "CLI: set! of a primitive reaches a later chunk [%s]"
+           backend) (fun () ->
+          let code, stdout_lines, stderr_lines =
+            run_schemer
+              (Printf.sprintf "--backend %s -e %s -e %s" backend
+                 (Filename.quote "(set! + -)")
+                 (Filename.quote "(+ 5 3)"))
+          in
+          Alcotest.(check int) "exit code" 0 code;
+          Alcotest.(check (list string)) "stderr" [] stderr_lines;
+          Alcotest.(check (option string)) "last stdout line" (Some "2")
+            (List.nth_opt (List.rev stdout_lines) 0)))
+    [ "stack"; "heap"; "oracle" ]
+
 let suite =
-  alloc_cases @ expt_cases @ cli_cases @ [ jobs_without_pool_case ]
-  @ sweep_cases
+  alloc_cases @ expt_cases @ cli_cases
+  @ [ jobs_without_pool_case; disassemble_across_chunks_case ]
+  @ set_primitive_across_chunks_cases @ sweep_cases

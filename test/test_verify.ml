@@ -1,5 +1,5 @@
 (* Static bytecode verifier: corpus-wide acceptance (every code object
-   from the shipped corpora, under all four optimizer-stage combinations
+   from the shipped corpora, under all four peephole-stage combinations
    and through every bytecode backend's session) and targeted rejection
    of hand-built malformed / contract-violating instruction streams.
 
