@@ -75,21 +75,25 @@ let class_of m len =
   let c = (len / m.cfg.seg_words) - 1 in
   if c >= cache_classes then cache_classes - 1 else c
 
+(* The empty array stands for "no segment": no cached array is empty,
+   and returning the array itself keeps the hit path allocation-free. *)
+let no_segment = [||]
+
 let pop_class m ~words i =
   if i < cache_classes - 1 then
     match m.cache.(i) with
     | seg :: rest ->
         m.cache.(i) <- rest;
-        Some seg
-    | [] -> None
+        seg
+    | [] -> no_segment
   else
     (* Mixed top bucket: first-fit within the bucket only. *)
     let rec take skipped = function
       | seg :: rest when words <= Array.length seg ->
           m.cache.(i) <- List.rev_append skipped rest;
-          Some seg
+          seg
       | seg :: rest -> take (seg :: skipped) rest
-      | [] -> None
+      | [] -> no_segment
     in
     take [] m.cache.(i)
 
@@ -104,30 +108,31 @@ let alloc_segment m words =
   else begin
     let c = class_of m words in
     let seg =
-      match pop_class m ~words c with
-      | Some _ as s ->
-          m.stats.cache_class_hits <- m.stats.cache_class_hits + 1;
-          s
-      | None ->
-          (* Exact class empty: bounded upward scan — any array in a
-             higher class is big enough by construction. *)
-          m.stats.cache_class_misses <- m.stats.cache_class_misses + 1;
-          let rec up i =
-            if i >= cache_classes then None
-            else
-              match pop_class m ~words i with
-              | Some _ as s -> s
-              | None -> up (i + 1)
-          in
-          up (c + 1)
-    in
-    match seg with
-    | Some seg ->
-        m.cache_len <- m.cache_len - 1;
-        m.cache_words <- m.cache_words - Array.length seg;
-        m.stats.cache_hits <- m.stats.cache_hits + 1;
+      let seg = pop_class m ~words c in
+      if seg != no_segment then begin
+        m.stats.cache_class_hits <- m.stats.cache_class_hits + 1;
         seg
-    | None -> fresh ()
+      end
+      else begin
+        (* Exact class empty: bounded upward scan — any array in a
+           higher class is big enough by construction. *)
+        m.stats.cache_class_misses <- m.stats.cache_class_misses + 1;
+        let rec up i =
+          if i >= cache_classes then no_segment
+          else
+            let seg = pop_class m ~words i in
+            if seg != no_segment then seg else up (i + 1)
+        in
+        up (c + 1)
+      end
+    in
+    if seg == no_segment then fresh ()
+    else begin
+      m.cache_len <- m.cache_len - 1;
+      m.cache_words <- m.cache_words - Array.length seg;
+      m.stats.cache_hits <- m.stats.cache_hits + 1;
+      seg
+    end
   end
 
 let release_segment m seg =
@@ -275,13 +280,15 @@ let promote_chain m link =
 (* New one-shot records join the promotion-flag group of the one-shot
    record directly below them, so a single shared-flag store promotes the
    whole contiguous group. *)
+let joins_group m link =
+  match (m.cfg.promotion, link) with
+  | Shared_flag, Some r -> (not (is_shot r)) && not (is_multi r)
+  | _ -> false
+
 let inherit_flag m link =
-  match m.cfg.promotion with
-  | Eager -> ref false
-  | Shared_flag -> (
-      match link with
-      | Some r when (not (is_shot r)) && not (is_multi r) -> r.promoted
-      | _ -> ref false)
+  match link with
+  | Some r when joins_group m link -> r.promoted
+  | _ -> ref false
 
 (* ------------------------------------------------------------------ *)
 (* Capture                                                             *)
@@ -431,7 +438,12 @@ let capture_oneshot m =
         let k = sr in
         k.current <- occupied;
         k.ret <- ret;
-        k.promoted <- inherit_flag m k.link;
+        (* An active record's flag is private and still false: only
+           sealed records' flags are ever set.  So when [k] starts a new
+           group it keeps the flag it has. *)
+        (match k.link with
+        | Some r when joins_group m k.link -> k.promoted <- r.promoted
+        | _ -> ());
         let seg = alloc_segment m m.cfg.seg_words in
         m.sr <-
           fresh_record seg ~base:0 ~size:(Array.length seg) ~link:(Some k);
@@ -580,7 +592,9 @@ let reinstate_oneshot m k =
   sr.current <- 0;
   sr.link <- k.link;
   sr.ret <- Void;
-  sr.promoted <- ref false;
+  (* [sr] keeps its promotion flag: private to the active record and
+     never set, it is already the fresh [false] flag a new active
+     record gets. *)
   let r = retaddr_of k.ret in
   m.fp <- k.base + k.current - r.rdisp;
   (* Mark shot: both size fields set to -1 (paper Figure 4), and detach

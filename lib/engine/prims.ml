@@ -12,7 +12,7 @@ let to_num who v =
   | Flo f -> F f
   | _ -> Values.type_error who "number" v
 
-let num_value = function I n -> Int n | F f -> Flo f
+let num_value = function I n -> Values.fixnum n | F f -> Flo f
 let num_float = function I n -> float_of_int n | F f -> f
 
 let num_binop fi ff a b =
@@ -74,16 +74,55 @@ let a3 who f args =
   match args with [| x; y; z |] -> f x y z | _ -> arity_error who
   [@@inline]
 
+(* Fixnum arithmetic leaving the fixnum range is an error naming the
+   operation and its arguments: R5RS lets an implementation restrict
+   exact integers, but not return a wrong one.  There are no bignums. *)
+let overflow who irritants = Values.err (who ^ ": fixnum overflow") irritants
+
+(* Overflow tests on the wrapped result [r] of [x op y]. *)
+let add_overflows x y r = (x lxor r) land (y lxor r) < 0 [@@inline]
+let sub_overflows x y r = (x lxor y) land (x lxor r) < 0 [@@inline]
+
+(* Both factors in [-2^30, 2^30) cannot overflow, which skips the
+   division for the common small products. *)
+let mul_overflows x y p =
+  ((x + 0x4000_0000) lor (y + 0x4000_0000)) land -0x8000_0000 <> 0
+  && x <> 0
+  && (p / x <> y || (x = -1 && y = min_int))
+[@@inline]
+
+(* The checked forms raise [Exit]; the caller names the operation. *)
+let add_exn x y =
+  let s = x + y in
+  if add_overflows x y s then raise Exit;
+  s
+
+let sub_exn x y =
+  let d = x - y in
+  if sub_overflows x y d then raise Exit;
+  d
+
+let mul_exn x y =
+  let p = x * y in
+  if mul_overflows x y p then raise Exit;
+  p
+
 (* Numeric fold over the arguments, promoting to flonum on contact. *)
 let num_fold who init fi ff args =
   match Array.length args with
-  | 0 -> Int init
-  | _ ->
+  | 0 -> Values.fixnum init
+  | _ -> (
       let acc = ref (to_num who args.(0)) in
-      for i = 1 to Array.length args - 1 do
-        acc := num_binop fi ff !acc (to_num who args.(i))
-      done;
-      num_value !acc
+      match
+        for i = 1 to Array.length args - 1 do
+          acc := num_binop fi ff !acc (to_num who args.(i))
+        done
+      with
+      | () -> num_value !acc
+      | exception Exit -> overflow who (Array.to_list args))
+
+(* One of the two static booleans: a predicate's result never allocates. *)
+let bool_of b = if b then Bool true else Bool false
 
 let num_compare who op args =
   if Array.length args < 2 then arity_error who;
@@ -94,17 +133,7 @@ let num_compare who op args =
         (op (num_cmp (to_num who args.(i)) (to_num who args.(i + 1))) 0)
     then ok := false
   done;
-  Bool !ok
-
-let bool_of b = Bool b
-
-(* Fixnum product, raising [Exit] instead of wrapping when it leaves
-   the fixnum range: R5RS lets an implementation restrict exact
-   integers, but not return a wrong one. *)
-let mul_exn x y =
-  let p = x * y in
-  if x <> 0 && (p / x <> y || (x = -1 && y = min_int)) then raise Exit;
-  p
+  bool_of !ok
 
 (* A size the host cannot allocate (beyond the OCaml array/string limit,
    or more than the heap can supply) is a runtime error naming it. *)
@@ -250,20 +279,39 @@ let the_prims : (string * prim) list =
   in
   [
     (* -- arithmetic ------------------------------------------------- *)
-    pure "+" (At_least 0) (fun args -> num_fold "+" 0 ( + ) ( +. ) args);
-    pure "*" (At_least 0) (fun args -> num_fold "*" 1 ( * ) ( *. ) args);
-    pure "-" (At_least 1) (fun args ->
-        match Array.length args with
-        | 1 -> (
-            match to_num "-" args.(0) with
-            | I n -> Int (-n)
-            | F f -> Flo (-.f))
-        | _ -> num_fold "-" 0 ( - ) ( -. ) args);
+    (* Two fixnums take an allocation-free fast path ahead of the
+       generic fold: a result in the small-fixnum table is shared. *)
+    pure "+" (At_least 0) (function
+      | [| Int x; Int y |] ->
+          let s = x + y in
+          if add_overflows x y s then overflow "+" [ Int x; Int y ];
+          Values.fixnum s
+      | args -> num_fold "+" 0 add_exn ( +. ) args);
+    pure "*" (At_least 0) (function
+      | [| Int x; Int y |] ->
+          let p = x * y in
+          if mul_overflows x y p then overflow "*" [ Int x; Int y ];
+          Values.fixnum p
+      | args -> num_fold "*" 1 mul_exn ( *. ) args);
+    pure "-" (At_least 1) (function
+      | [| Int x; Int y |] ->
+          let d = x - y in
+          if sub_overflows x y d then overflow "-" [ Int x; Int y ];
+          Values.fixnum d
+      | [| a |] -> (
+          match to_num "-" a with
+          | I n ->
+              if n = min_int then overflow "-" [ a ];
+              Values.fixnum (-n)
+          | F f -> Flo (-.f))
+      | args -> num_fold "-" 0 sub_exn ( -. ) args);
     pure "/" (At_least 1) (fun args ->
         (* exact when it divides evenly, inexact otherwise (no rationals) *)
         let div a b =
           match (a, b) with
-          | I x, I y when y <> 0 && x mod y = 0 -> I (x / y)
+          | I x, I y when y <> 0 && x mod y = 0 ->
+              if x = min_int && y = -1 then overflow "/" [ Int x; Int y ];
+              I (x / y)
           | _, b when num_float b = 0. && (match b with I _ -> true | _ -> false)
             ->
               Values.err "/: division by zero" []
@@ -281,30 +329,44 @@ let the_prims : (string * prim) list =
       (a2 "quotient" (fun a b ->
            let b = check_int "quotient" b in
            if b = 0 then Values.err "quotient: division by zero" [];
-           Int (check_int "quotient" a / b)));
+           let a = check_int "quotient" a in
+           if a = min_int && b = -1 then overflow "quotient" [ Int a; Int b ];
+           Values.fixnum (a / b)));
     pure "remainder" (Exactly 2)
       (a2 "remainder" (fun a b ->
            let b = check_int "remainder" b in
            if b = 0 then Values.err "remainder: division by zero" [];
-           Int (Int.rem (check_int "remainder" a) b)));
+           Values.fixnum (Int.rem (check_int "remainder" a) b)));
     pure "modulo" (Exactly 2)
       (a2 "modulo" (fun a b ->
            let b = check_int "modulo" b in
            if b = 0 then Values.err "modulo: division by zero" [];
            let r = Int.rem (check_int "modulo" a) b in
-           Int (if (r < 0) <> (b < 0) && r <> 0 then r + b else r)));
+           Values.fixnum (if (r < 0) <> (b < 0) && r <> 0 then r + b else r)));
     pure "abs" (Exactly 1)
       (a1 "abs" (fun a ->
            match to_num "abs" a with
-           | I n -> Int (abs n)
+           | I n ->
+               if n = min_int then overflow "abs" [ a ];
+               Values.fixnum (abs n)
            | F f -> Flo (Float.abs f)));
     pure "min" (At_least 1) (fun args -> num_fold "min" 0 min Float.min args);
     pure "max" (At_least 1) (fun args -> num_fold "max" 0 max Float.max args);
-    pure "=" (At_least 2) (num_compare "=" ( = ));
-    pure "<" (At_least 2) (num_compare "<" ( < ));
-    pure ">" (At_least 2) (num_compare ">" ( > ));
-    pure "<=" (At_least 2) (num_compare "<=" ( <= ));
-    pure ">=" (At_least 2) (num_compare ">=" ( >= ));
+    pure "=" (At_least 2) (function
+      | [| Int x; Int y |] -> bool_of (x = y)
+      | args -> num_compare "=" ( = ) args);
+    pure "<" (At_least 2) (function
+      | [| Int x; Int y |] -> bool_of (x < y)
+      | args -> num_compare "<" ( < ) args);
+    pure ">" (At_least 2) (function
+      | [| Int x; Int y |] -> bool_of (x > y)
+      | args -> num_compare ">" ( > ) args);
+    pure "<=" (At_least 2) (function
+      | [| Int x; Int y |] -> bool_of (x <= y)
+      | args -> num_compare "<=" ( <= ) args);
+    pure ">=" (At_least 2) (function
+      | [| Int x; Int y |] -> bool_of (x >= y)
+      | args -> num_compare ">=" ( >= ) args);
     (* -- flonum-specific ---------------------------------------------- *)
     pure "exact->inexact" (Exactly 1)
       (a1 "exact->inexact" (fun a -> Flo (num_float (to_num "exact->inexact" a))));
@@ -409,8 +471,16 @@ let the_prims : (string * prim) list =
       (a1 "even?" (fun a -> bool_of (check_int "even?" a land 1 = 0)));
     pure "odd?" (Exactly 1)
       (a1 "odd?" (fun a -> bool_of (check_int "odd?" a land 1 = 1)));
-    pure "1+" (Exactly 1) (a1 "1+" (fun a -> Int (check_int "1+" a + 1)));
-    pure "1-" (Exactly 1) (a1 "1-" (fun a -> Int (check_int "1-" a - 1)));
+    pure "1+" (Exactly 1)
+      (a1 "1+" (fun a ->
+           let n = check_int "1+" a in
+           if n = max_int then overflow "1+" [ a ];
+           Values.fixnum (n + 1)));
+    pure "1-" (Exactly 1)
+      (a1 "1-" (fun a ->
+           let n = check_int "1-" a in
+           if n = min_int then overflow "1-" [ a ];
+           Values.fixnum (n - 1)));
     (* -- predicates -------------------------------------------------- *)
     pure "eq?" (Exactly 2) (a2 "eq?" (fun a b -> bool_of (Values.eq a b)));
     pure "eqv?" (Exactly 2) (a2 "eqv?" (fun a b -> bool_of (Values.eqv a b)));
@@ -476,7 +546,7 @@ let the_prims : (string * prim) list =
     pure "list" (At_least 0) (fun args ->
         Values.list_to_value (Array.to_list args));
     pure "length" (Exactly 1)
-      (a1 "length" (fun v -> Int (list_length "length" 0 v)));
+      (a1 "length" (fun v -> Values.fixnum (list_length "length" 0 v)));
     pure "append" (At_least 0) (fun args ->
         match Array.length args with
         | 0 -> Nil
@@ -516,7 +586,7 @@ let the_prims : (string * prim) list =
         gensym prefix);
     pure "string-length" (Exactly 1)
       (a1 "string-length" (fun v ->
-           Int (Bytes.length (check_str "string-length" v))));
+           Values.fixnum (Bytes.length (check_str "string-length" v))));
     pure "string-append" (At_least 0) (fun args ->
         let buf = Buffer.create 16 in
         Array.iter
@@ -602,7 +672,8 @@ let the_prims : (string * prim) list =
                | Some f -> Flo f
                | None -> Bool false)));
     pure "char->integer" (Exactly 1)
-      (a1 "char->integer" (fun v -> Int (Char.code (check_char "char->integer" v))));
+      (a1 "char->integer" (fun v ->
+           Values.fixnum (Char.code (check_char "char->integer" v))));
     pure "integer->char" (Exactly 1)
       (a1 "integer->char" (fun v ->
            let n = check_int "integer->char" v in
@@ -642,7 +713,8 @@ let the_prims : (string * prim) list =
             size_too_large "make-vector" n);
     pure "vector" (At_least 0) (fun args -> Vec (Array.copy args));
     pure "vector-length" (Exactly 1)
-      (a1 "vector-length" (fun v -> Int (Array.length (check_vec "vector-length" v))));
+      (a1 "vector-length" (fun v ->
+           Values.fixnum (Array.length (check_vec "vector-length" v))));
     pure "vector-ref" (Exactly 2)
       (a2 "vector-ref" (fun v i ->
            let a = check_vec "vector-ref" v and i = check_int "vector-ref" i in
@@ -695,7 +767,7 @@ let the_prims : (string * prim) list =
            Void));
     pure "hashtable-size" (Exactly 1)
       (a1 "hashtable-size" (fun t ->
-           Int (Hashtbl.length (check_tbl "hashtable-size" t))));
+           Values.fixnum (Hashtbl.length (check_tbl "hashtable-size" t))));
     pure "hashtable-keys" (Exactly 1)
       (a1 "hashtable-keys" (fun t ->
            Values.list_to_value
@@ -846,7 +918,7 @@ let the_prims : (string * prim) list =
              handler;
            Void));
     pure "%get-timer" (Exactly 0) (fun _ ->
-        Int ((Machine_hooks.current ()).Machine_hooks.get_timer ()));
+        Values.fixnum ((Machine_hooks.current ()).Machine_hooks.get_timer ()));
     special "%stat" (Exactly 1) Sp_stats;
     special "%backtrace" (Exactly 0) Sp_backtrace;
     special "eval" (Exactly 1) Sp_eval;

@@ -264,7 +264,7 @@ and special vm sp args ~ret ~parent ~guards =
       vm.acc <- Void;
       return_to vm ~ret ~parent ~guards
   | Sp_get_timer ->
-      vm.acc <- Int (max vm.timer 0);
+      vm.acc <- Values.fixnum (max vm.timer 0);
       return_to vm ~ret ~parent ~guards
   | Sp_backtrace ->
       let rec walk acc count (f : hframe option) =

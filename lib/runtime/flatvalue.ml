@@ -68,8 +68,8 @@ let rec deserialize t =
   | F_nil -> Rt.Nil
   | F_void -> Rt.Void
   | F_eof -> Rt.Eof
-  | F_bool b -> Rt.Bool b
-  | F_int n -> Rt.Int n
+  | F_bool b -> if b then Rt.Bool true else Rt.Bool false
+  | F_int n -> Values.fixnum n
   | F_flo f -> Rt.Flo f
   | F_char c -> Rt.Char c
   | F_str s -> Rt.Str (Bytes.of_string s)

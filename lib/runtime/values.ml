@@ -29,6 +29,23 @@ let type_error who expected got =
     (Printf.sprintf "%s: expected %s, got %s" who expected (type_name got))
     [ got ]
 
+(* Preallocated boxes for the small fixnums, shared by every session and
+   domain (they are immutable): a hot fixnum producer returns one of
+   these instead of boxing a fresh [Int].  Sound because [eq]/[eqv]
+   compare [Int] by value, so no program can tell a shared box from a
+   fresh one. *)
+let fixnum_min = -1024
+let fixnum_max = 1023
+
+let small_fixnums =
+  Array.init (fixnum_max - fixnum_min + 1) (fun i -> Int (i + fixnum_min))
+
+let fixnum n =
+  if n >= fixnum_min && n <= fixnum_max then
+    Array.unsafe_get small_fixnums (n - fixnum_min)
+  else Int n
+[@@inline]
+
 let cons a d = Pair { car = a; cdr = d }
 let list_to_value vs = List.fold_right cons vs Nil
 

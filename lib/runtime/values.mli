@@ -1,6 +1,11 @@
 (** Operations on runtime values: constructors, conversions, equality
     predicates, and external representation. *)
 
+val fixnum : int -> Rt.value
+(** [Int n], allocation-free for [-1024 <= n <= 1023]: those come from
+    one preallocated, process-shared table.  Callers on hot paths use
+    this instead of the [Int] constructor. *)
+
 val cons : Rt.value -> Rt.value -> Rt.value
 val list_to_value : Rt.value list -> Rt.value
 val list_of_value : Rt.value -> Rt.value list

@@ -156,6 +156,10 @@ let read_token st start =
   else if s = "+inf.0" then Float (Float.infinity, start)
   else if s = "-inf.0" then Float (Float.neg_infinity, start)
   else if s = "+nan.0" || s = "-nan.0" then Float (Float.nan, start)
+  (* Every other token read as a number looks numeric (an integer, even
+     an out-of-range one, has a digit after its optional sign), so the
+     rest are symbols, without two conversions that would fail. *)
+  else if not (looks_numeric s) then Sym (s, start)
   else
     match int_of_string_opt s with
     | Some n -> Int (n, start)
@@ -169,8 +173,8 @@ let read_token st start =
         then raise (Read_error ("fixnum out of range: " ^ s, start))
         else (
           match float_of_string_opt s with
-          | Some f when looks_numeric s -> Float (f, start)
-          | _ -> Sym (s, start))
+          | Some f -> Float (f, start)
+          | None -> Sym (s, start))
 
 let read_char_literal st start =
   (* Cursor sits after "#\\". *)

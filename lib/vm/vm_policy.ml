@@ -256,7 +256,7 @@ and special vm sp nargs =
       vm.acc <- Void;
       do_return vm
   | Sp_get_timer ->
-      vm.acc <- Int (max vm.timer 0);
+      vm.acc <- Values.fixnum (max vm.timer 0);
       do_return vm
   | Sp_stats ->
       let name =

@@ -123,6 +123,162 @@ let expt_cases =
       "expt: fixnum overflow 2 62"
   @ check_runtime_error "expt: 2^100 overflows" "(expt 2 100)"
       "expt: fixnum overflow 2 100"
+  @ check_runtime_error "/: min_int by -1 overflows"
+      (Printf.sprintf "(/ %d -1)" min_int)
+      (Printf.sprintf "/: fixnum overflow %d -1" min_int)
+
+(* Fixnum overflow against an exact oracle.  The oracle is independent
+   of the code under test: signed decimal digit lists (least significant
+   digit first), exact for any operands.  A fixnum operation must return
+   the exact result when it fits in a fixnum, and fail with
+   "<op>: fixnum overflow" naming its arguments when it does not. *)
+module Exact = struct
+  type t = bool * int list (* negative?, magnitude digits, no leading zeros *)
+
+  let trim m =
+    let rec drop = function 0 :: r -> drop r | r -> r in
+    List.rev (drop (List.rev m))
+
+  let of_string s : t =
+    let neg = s.[0] = '-' in
+    let digits = String.sub s (Bool.to_int neg) (String.length s - Bool.to_int neg) in
+    (neg, trim (List.rev (List.init (String.length digits) (fun i -> Char.code digits.[i] - 48))))
+
+  let of_int n = of_string (string_of_int n)
+
+  let to_string ((neg, m) : t) =
+    if m = [] then "0"
+    else
+      (if neg then "-" else "")
+      ^ String.concat "" (List.rev_map string_of_int m)
+
+  let cmp_mag a b = compare (List.length a, List.rev a) (List.length b, List.rev b)
+
+  let rec add_mag a b carry =
+    match (a, b) with
+    | [], [] -> if carry = 0 then [] else [ carry ]
+    | x :: a, [] | [], x :: a ->
+        let s = x + carry in
+        (s mod 10) :: add_mag a [] (s / 10)
+    | x :: a, y :: b ->
+        let s = x + y + carry in
+        (s mod 10) :: add_mag a b (s / 10)
+
+  (* [a - b] for [a >= b]. *)
+  let rec sub_mag a b borrow =
+    match (a, b) with
+    | [], _ -> []
+    | x :: a, b ->
+        let y, b = match b with [] -> (0, []) | y :: b -> (y, b) in
+        let d = x - y - borrow in
+        if d < 0 then (d + 10) :: sub_mag a b 1 else d :: sub_mag a b 0
+
+  let neg ((n, m) : t) : t = (not n, m)
+
+  let add ((na, a) : t) ((nb, b) : t) : t =
+    if na = nb then (na, add_mag a b 0)
+    else if cmp_mag a b >= 0 then (na, trim (sub_mag a b 0))
+    else (nb, trim (sub_mag b a 0))
+
+  let mul ((na, a) : t) ((nb, b) : t) : t =
+    let scale x =
+      let rec go b carry =
+        match b with
+        | [] -> if carry = 0 then [] else [ carry ]
+        | y :: b ->
+            let p = (x * y) + carry in
+            (p mod 10) :: go b (p / 10)
+      in
+      go b 0
+    in
+    let _, prod =
+      List.fold_left
+        (fun (shift, acc) x -> (0 :: shift, add_mag acc (shift @ scale x) 0))
+        ([], []) a
+    in
+    (na <> nb, trim prod)
+end
+
+(* Near every edge of the fixnum range and of the small-product shortcut
+   (2^30), plus the sweep's integer boundary values. *)
+let oracle_ints =
+  [ 0; 1; -1; 2; -2; 1023; 1024; -1025; 1 lsl 30; -(1 lsl 30); 3037000499;
+    3037000500; -3037000500; 100000000000; 1 lsl 61; -(1 lsl 61);
+    max_int; max_int - 1; min_int; min_int + 1 ]
+
+(* (form, arguments, exact result or [None] when a fixnum cannot hold it) *)
+let oracle_rows =
+  let fits r = int_of_string_opt (Exact.to_string r) in
+  let e = Exact.of_int in
+  let binary ?(ys = oracle_ints) op exact extra =
+    List.concat_map
+      (fun x ->
+        List.map (fun y -> (op, [ x; y ] @ extra, fits (exact (e x) (e y)))) ys)
+      oracle_ints
+  in
+  let unary op exact =
+    List.map (fun x -> (op, [ x ], fits (exact (e x)))) oracle_ints
+  in
+  let sub a b = Exact.add a (Exact.neg b) in
+  [
+    ("+ (two fixnums)", binary "+" Exact.add []);
+    ("- (two fixnums)", binary "-" sub []);
+    ("* (two fixnums)", binary "*" Exact.mul []);
+    ("+ (generic fold)", binary "+" Exact.add [ 0 ]);
+    ("- (generic fold)", binary "-" sub [ 0 ]);
+    ("* (generic fold)", binary "*" Exact.mul [ 1 ]);
+    (* Truncating division by [y] with [|y| >= 2] shrinks the magnitude,
+       so only [y = -1] (negation) and [y = 1] need the exact oracle. *)
+    ( "quotient",
+      binary
+        ~ys:(List.filter (fun y -> y <> 0) oracle_ints)
+        "quotient"
+        (fun x y ->
+          match Exact.to_string y with
+          | "1" -> x
+          | "-1" -> Exact.neg x
+          | ys ->
+              Exact.of_int (int_of_string (Exact.to_string x) / int_of_string ys))
+        [] );
+    ("- (negation)", unary "-" Exact.neg);
+    ("abs", unary "abs" (fun (_, m) -> (false, m)));
+    ("1+", unary "1+" (fun x -> Exact.add x (e 1)));
+    ("1-", unary "1-" (fun x -> Exact.add x (e (-1))));
+  ]
+
+let overflow_oracle_cases =
+  List.concat_map
+    (fun (bname, eval) ->
+      List.map
+        (fun (label, rows) ->
+          case (Printf.sprintf "fixnum oracle: %s [%s]" label bname)
+            (fun () ->
+              List.iter
+                (fun (op, args, exact) ->
+                  let args = List.map string_of_int args in
+                  let src =
+                    Printf.sprintf "(%s %s)" op (String.concat " " args)
+                  in
+                  match eval src with
+                  | v -> (
+                      match exact with
+                      | Some n -> Alcotest.(check string) src (string_of_int n) v
+                      | None ->
+                          Alcotest.failf "%s: expected overflow, got %s" src v)
+                  | exception e -> (
+                      match (exact, Diag.of_exn e) with
+                      | None, Some d ->
+                          Alcotest.(check string) src
+                            (Printf.sprintf
+                               "error: [runtime] %s: fixnum overflow %s" op
+                               (String.concat " " args))
+                            (Diag.to_string d)
+                      | _ ->
+                          Alcotest.failf "%s raised %s" src
+                            (Printexc.to_string e)))
+                rows))
+        oracle_rows)
+    backends
 
 (* The CLI prints the one diagnostic line on stderr and exits 1. *)
 let schemer =
@@ -230,6 +386,6 @@ let set_primitive_across_chunks_cases =
     [ "stack"; "heap"; "oracle" ]
 
 let suite =
-  alloc_cases @ expt_cases @ cli_cases
+  alloc_cases @ expt_cases @ overflow_oracle_cases @ cli_cases
   @ [ jobs_without_pool_case; disassemble_across_chunks_case ]
   @ set_primitive_across_chunks_cases @ sweep_cases

@@ -71,6 +71,50 @@ let unit_tests =
     check_read_error "fixnum overflow" "99999999999999999999999999";
   ]
 
+(* How each token classifies: symbol, fixnum, flonum (hex float, exact)
+   or read error.  Pins the reader's number syntax so a shortcut that
+   skips the numeric conversions cannot change what any token means. *)
+let classify src =
+  match Sexp.read_one src with
+  | Sexp.Sym (s, _) -> "sym " ^ s
+  | Sexp.Int (n, _) -> "int " ^ string_of_int n
+  | Sexp.Float (f, _) -> Printf.sprintf "float %h" f
+  | d -> "other " ^ Sexp.to_string d
+  | exception Sexp.Read_error (msg, _) -> "error " ^ msg
+
+let token_cases =
+  List.map
+    (fun (src, expected) ->
+      case (Printf.sprintf "token %s" src) (fun () ->
+          Alcotest.(check string) src expected (classify src)))
+    [
+      ("+", "sym +");
+      ("-", "sym -");
+      ("...", "sym ...");
+      ("->x", "sym ->x");
+      ("1+", "sym 1+");
+      ("-1+", "sym -1+");
+      (".5", "float 0x1p-1");
+      ("+.5", "sym +.5");
+      ("-.5", "sym -.5");
+      ("1.", "float 0x1p+0");
+      ("+5", "int 5");
+      ("0x10", "int 16");
+      ("-0x10", "int -16");
+      ("0b101", "int 5");
+      ("1_000", "int 1000");
+      ("1e3", "float 0x1.f4p+9");
+      ("+inf.0", "float infinity");
+      ("-inf.0", "float -infinity");
+      ("-nan.0", "float nan");
+      ("nan", "sym nan");
+      ("inf", "sym inf");
+      ("-4611686018427387904", "int -4611686018427387904");
+      ("4611686018427387904", "error fixnum out of range: 4611686018427387904");
+      ( "-4611686018427387905",
+        "error fixnum out of range: -4611686018427387905" );
+    ]
+
 (* Round-trip property: write then read gives a structurally equal datum. *)
 let gen_datum =
   let open QCheck.Gen in
@@ -121,4 +165,4 @@ let roundtrip_prop =
       Sexp.equal d (Sexp.read_one (Sexp.to_string d)))
 
 let prop_tests = [ QCheck_alcotest.to_alcotest roundtrip_prop ]
-let suite = unit_tests @ prop_tests
+let suite = unit_tests @ token_cases @ prop_tests
