@@ -12,6 +12,7 @@ let () =
     Scheme.create ~backend:(Scheme.Stack Control.default_config) ~stats ()
   in
   Scheme.load_corpus s;
+  ignore (Scheme.eval s Cml.source);
   let primes =
     Scheme.eval_string s
       {|(let ((primes '()))

@@ -375,8 +375,11 @@ let the_prims : (string * prim) list =
            match to_num "inexact->exact" a with
            | I n -> Int n
            | F f ->
-               if Float.is_integer f then Int (int_of_float f)
-               else Values.err "inexact->exact: not an integer" [ a ]));
+               if not (Float.is_integer f) then
+                 Values.err "inexact->exact: not an integer" [ a ]
+               else if f >= Float.of_int min_int && f < -.Float.of_int min_int
+               then Int (int_of_float f)
+               else overflow "inexact->exact" [ a ]));
     pure "exact?" (Exactly 1)
       (a1 "exact?" (fun a ->
            match a with

@@ -195,8 +195,7 @@ let eval_datum ?fuel t d =
 
 let load_corpus t =
   ignore (eval_machine t (`Text Programs.all_defs));
-  ignore (eval_machine t (`Text Threads.scheduler));
-  ignore (eval_machine t (`Text Cml.source))
+  ignore (eval_machine t (`Text Threads.scheduler))
 
 let output t =
   match t.machine with

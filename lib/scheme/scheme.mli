@@ -51,7 +51,9 @@ val eval_datum : ?fuel:int -> t -> Sexp.t -> Rt.value
 
 val load_corpus : t -> unit
 (** Load the benchmark program definitions (tak, ctak, fib, ack, deep,
-    queens, boyer, generators) and the thread systems. *)
+    queens, boyer, generators) and the thread systems.  The CML layer
+    ({!Cml.source}) is not part of it: a program that uses channels
+    evaluates that source itself. *)
 
 val output : t -> string
 (** Accumulated [display]/[write] output. *)

@@ -6,6 +6,7 @@ let run ?(config = Control.default_config) src =
   let stats = Stats.create () in
   let s = Scheme.create ~backend:(Scheme.Stack config) ~stats () in
   Scheme.load_corpus s;
+  ignore (Scheme.eval s Cml.source);
   (Scheme.eval_string ~fuel:Tutil.default_fuel s src, stats)
 
 let check name src expected =

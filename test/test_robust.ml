@@ -127,6 +127,21 @@ let expt_cases =
       (Printf.sprintf "(/ %d -1)" min_int)
       (Printf.sprintf "/: fixnum overflow %d -1" min_int)
 
+(* inexact->exact converts only the flonums inside the fixnum range
+   [-2^62, 2^62); the rest are an overflow, never a wrapped fixnum. *)
+let inexact_cases =
+  check_value "inexact->exact: -2^62 is min_int"
+      "(inexact->exact -4611686018427387904.)" (string_of_int min_int)
+  @ check_value "inexact->exact: largest flonum below 2^62"
+      "(inexact->exact 4611686018427387392.)" "4611686018427387392"
+  @ check_runtime_error "inexact->exact: 2^62 overflows"
+      "(inexact->exact 4611686018427387904.)"
+      "inexact->exact: fixnum overflow 4.61168601843e+18"
+  @ check_runtime_error "inexact->exact: 1e30 overflows"
+      "(inexact->exact 1e30)" "inexact->exact: fixnum overflow 1e+30"
+  @ check_runtime_error "inexact->exact: -1e19 overflows"
+      "(inexact->exact -1e19)" "inexact->exact: fixnum overflow -1e+19"
+
 (* Fixnum overflow against an exact oracle.  The oracle is independent
    of the code under test: signed decimal digit lists (least significant
    digit first), exact for any operands.  A fixnum operation must return
@@ -386,6 +401,6 @@ let set_primitive_across_chunks_cases =
     [ "stack"; "heap"; "oracle" ]
 
 let suite =
-  alloc_cases @ expt_cases @ overflow_oracle_cases @ cli_cases
+  alloc_cases @ expt_cases @ inexact_cases @ overflow_oracle_cases @ cli_cases
   @ [ jobs_without_pool_case; disassemble_across_chunks_case ]
   @ set_primitive_across_chunks_cases @ sweep_cases
